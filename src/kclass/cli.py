@@ -19,7 +19,7 @@ from .graphalg import (DirectedGraph, compare_graphs, graph_ktheory,
                        hereditary_saturated_sets, one_ideal_invariant)
 from .groups import FgAbelianGroup
 from .matrix import IntMatrix, snf
-from .sixterm import (SixTermInvariant, UnsupportedConeError,
+from .sixterm import (SixTermInvariant, UnsupportedConeError, _group_json,
                       decide_iso_one_ideal, validate_sixterm)
 from .surd import parse_surd, sturmian_equivalent
 
@@ -98,10 +98,6 @@ def _parse_surd_arg(text: str):
         # this message; that input is out of scope rather than malformed
         code = UNSUPPORTED if str(exc).startswith("not irrational") else PARSE_ERROR
         raise CliError(code, str(exc)) from exc
-
-
-def _group_json(G: FgAbelianGroup) -> dict:
-    return {"rank": G.free_rank, "torsion": list(G.torsion)}
 
 
 def _load_pairs(path: str) -> list[tuple[str, str]]:
@@ -217,7 +213,7 @@ def cmd_sixterm_compare(args) -> dict:
 def cmd_subst_compare(args) -> dict:
     def one(f1: str, f2: str) -> dict:
         i1, i2 = _load_subst(f1), _load_subst(f2)
-        return _run(compare_substitution_invariants, i1, i2, bound=args.bound).to_json()
+        return _run(compare_substitution_invariants, i1, i2).to_json()
 
     return _compare_many(args, one)
 
@@ -304,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = usub.add_parser("compare", parents=[common],
                         help="decide equivalence of two substitution invariants")
     _add_pair_args(p, "file")
-    p.add_argument("--bound", type=int, default=64, metavar="N",
-                   help="iteration bound for positivity tests (default 64)")
     p.set_defaults(fn=cmd_subst_compare)
 
     sturm = sub.add_parser("sturmian", help="Sturmian slope comparison")

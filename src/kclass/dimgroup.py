@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .matrix import IntMatrix, solve, unimodular_inverse
 from .surd import (
     QuadraticIrrational,
+    _inv2,
     cf_expansion,
     convergent_matrix,
     equivalence_witness,
@@ -192,14 +193,6 @@ def dg_positive(G: StationaryDimensionGroup, x: DGElement, bound: int = 64) -> s
             return NEGATIVE
         v = list(G.matrix.apply(v))
     return UNKNOWN_SIGN
-
-
-def _inv2(M: IntMatrix) -> IntMatrix:
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return IntMatrix([[det * M[1, 1], -det * M[0, 1]],
-                      [-det * M[1, 0], det * M[0, 0]]])
 
 
 def is_positive_slope_map(G1: StationaryDimensionGroup, G2: StationaryDimensionGroup,
@@ -465,8 +458,8 @@ def _safe_inverse(M: IntMatrix) -> IntMatrix | None:
         return None
 
 
-def compare_substitution_invariants(i1: SubstitutionInvariant, i2: SubstitutionInvariant,
-                                    bound: int = 64) -> V.IsoVerdict:
+def compare_substitution_invariants(i1: SubstitutionInvariant,
+                                    i2: SubstitutionInvariant) -> V.IsoVerdict:
     """Decide equivalence of two substitution invariants.
 
     Pipeline: sizes and distinguished vectors first, then the reduced

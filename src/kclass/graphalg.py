@@ -11,7 +11,6 @@ group for the purely infinite one).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .matrix import IntMatrix, kernel_basis, solve
@@ -96,37 +95,73 @@ class IdealDatum:
 def evaluate_subset(g: DirectedGraph, subset) -> IdealDatum:
     """Hereditary and saturation flags for an arbitrary vertex subset."""
     idx = {g.index_of(v) for v in subset}
-    hereditary = True
-    for i in idx:
-        for j in range(g.n):
-            if g.adjacency[i, j] > 0 and j not in idx:
-                hereditary = False
-                break
-        if not hereditary:
-            break
-    saturated = True
-    for i in range(g.n):
-        if i in idx or not g.is_regular(i):
-            continue
-        if all(g.adjacency[i, j] == 0 or j in idx for j in range(g.n)):
-            saturated = False
-            break
+    rows = g.adjacency.data
+    hereditary = all(m == 0 or j in idx
+                     for i in idx for j, m in enumerate(rows[i]))
+    saturated = not any(
+        i not in idx and any(row)
+        and all(m == 0 or j in idx for j, m in enumerate(row))
+        for i, row in enumerate(rows))
     labels = tuple(sorted(subset, key=g.index_of))
     return IdealDatum(labels, hereditary, saturated,
                       0 < len(idx) < g.n)
 
 
+def _saturate(regular: list[tuple[int, int]], mask: int) -> int:
+    """Smallest saturated superset of a hereditary vertex bitmask.
+
+    ``regular`` pairs each emitting vertex with its successor bitmask; a
+    vertex outside the set joins it once all its edges land inside.
+    """
+    grown = True
+    while grown:
+        grown = False
+        for i, succ in regular:
+            if not mask >> i & 1 and succ & ~mask == 0:
+                mask |= 1 << i
+                grown = True
+    return mask
+
+
 def hereditary_saturated_sets(g: DirectedGraph) -> list[IdealDatum]:
-    """Every hereditary saturated vertex set, the trivial ones included."""
+    """Every hereditary saturated vertex set, the trivial ones included.
+
+    Every such set H is the union of the closures Sigma(T(v)) over its
+    vertices v, where T(v) is everything v reaches and Sigma saturates
+    (Bates, Hong, Raeburn, Szymanski 2002).  So the lattice is the
+    closure of the n vertex closures under saturated unions, and the
+    work follows its size rather than 2^n.  Sets come ordered by size,
+    then by vertex indices, and each is checked by ``evaluate_subset``.
+    """
     if g.n > MAX_VERTICES:
         raise ValueError(f"graphs with more than {MAX_VERTICES} vertices "
                          "are not enumerated")
+    succ = [sum(1 << j for j, m in enumerate(row) if m)
+            for row in g.adjacency.data]
+    regular = [(i, s) for i, s in enumerate(succ) if s]
+    closures = set()
+    for v in range(g.n):
+        reach, frontier = 1 << v, 1 << v
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = succ[low.bit_length() - 1] & ~reach
+            reach |= new
+            frontier |= new
+        closures.add(_saturate(regular, reach))
+    lattice = {0}
+    for c in closures:
+        # a union of hereditary sets is hereditary: a join only saturates
+        lattice |= {_saturate(regular, h | c) for h in lattice if c & ~h}
+    indices = sorted((tuple(i for i in range(g.n) if h >> i & 1)
+                      for h in lattice), key=lambda t: (len(t), t))
     out = []
-    for r in range(g.n + 1):
-        for combo in itertools.combinations(g.vertices, r):
-            d = evaluate_subset(g, combo)
-            if d.hereditary and d.saturated:
-                out.append(d)
+    for t in indices:
+        d = evaluate_subset(g, [g.vertices[i] for i in t])
+        if not (d.hereditary and d.saturated):
+            raise RuntimeError(f"vertex closure join {d.vertices!r} is not "
+                               "hereditary and saturated")
+        out.append(d)
     return out
 
 

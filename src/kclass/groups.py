@@ -140,10 +140,6 @@ class Presentation:
         idx = (self._free_idx + self._tor_idx)[i]
         return self._uinv.column(idx)
 
-    def lift_matrix(self) -> IntMatrix:
-        return IntMatrix.from_columns(
-            [self.lift(i) for i in range(self.group.ngens)], rows=self.rel.rows)
-
 
 def group_from_matrix(M: IntMatrix) -> FgAbelianGroup:
     """Cokernel of M acting Z^cols -> Z^rows, in canonical form."""

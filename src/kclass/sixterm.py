@@ -76,11 +76,10 @@ class ConeDescriptor:
             return False
         if self.tag != STATIONARY_DG:
             return True
-        return self.matrix.to_lists() == other.matrix.to_lists()
+        return self.matrix == other.matrix
 
     def __hash__(self) -> int:
-        key = None if self.matrix is None else tuple(map(tuple, self.matrix.to_lists()))
-        return hash((self.tag, key))
+        return hash((self.tag, self.matrix))
 
     def __repr__(self) -> str:
         if self.tag == STATIONARY_DG:
@@ -406,9 +405,8 @@ def _dedup(homs) -> list[GroupHom]:
     seen = set()
     out = []
     for h in homs:
-        key = tuple(map(tuple, h.matrix.to_lists()))
-        if key not in seen:
-            seen.add(key)
+        if h.matrix not in seen:
+            seen.add(h.matrix)
             out.append(h)
     return out
 

@@ -2,6 +2,7 @@
 import itertools
 from math import gcd
 
+from kclass.graphalg import IdealDatum
 from kclass.matrix import IntMatrix
 from kclass.surd import QuadraticIrrational, mobius_apply
 
@@ -87,3 +88,25 @@ def cyclic_quotient_order(n: int, m: int) -> int:
         raise ValueError("need a finite cyclic group")
     image = {(m * x) % n for x in range(n)}
     return n // len(image)
+
+
+def hereditary_saturated_sets_bruteforce(g) -> list[IdealDatum]:
+    """Every hereditary saturated vertex set, by testing every subset.
+
+    Hereditary: no edge leaves the set.  Saturated: no vertex outside it
+    emits edges that all land inside it.  Subsets come in
+    ``itertools.combinations`` order: by size, then by vertex indices.
+    """
+    n = g.n
+    succ = [{j for j in range(n) if g.adjacency[i, j] > 0} for i in range(n)]
+    out = []
+    for r in range(n + 1):
+        for combo in itertools.combinations(range(n), r):
+            s = set(combo)
+            hereditary = all(succ[i] <= s for i in s)
+            saturated = not any(succ[i] and succ[i] <= s
+                                for i in range(n) if i not in s)
+            if hereditary and saturated:
+                out.append(IdealDatum(tuple(g.vertices[i] for i in combo),
+                                      True, True, 0 < r < n))
+    return out

@@ -20,7 +20,8 @@ from kclass.cli import main
 from kclass.dimgroup import (SubstitutionInvariant, compare_substitution_invariants,
                              dg_is_zero, scaled_triple)
 from kclass.ext import ext1
-from kclass.graphalg import hereditary_saturated_sets, one_ideal_invariant
+from kclass.graphalg import (DirectedGraph, hereditary_saturated_sets,
+                             one_ideal_invariant)
 from kclass.groups import FgAbelianGroup, GroupHom
 from kclass.matrix import IntMatrix, snf
 from kclass.sampling import invariant_corpus, random_one_ideal_graph
@@ -160,6 +161,35 @@ def test_random_one_ideal_invariants_are_exact():
         inv = one_ideal_invariant(g)
         assert validate_sixterm(inv) == []
     assert time.monotonic() - start < 30.0
+
+
+def test_twenty_vertex_ideal_lattices_are_fast():
+    """The ideal lattice costs what it holds, not 2^n: a looped chain on
+    20 vertices has 21 hereditary saturated sets, and a 20-vertex graph
+    with one proper ideal yields its exact six-term invariant."""
+    n = 20
+    labels = [f"v{i}" for i in range(n)]
+    chain = [[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)]
+    # two 10-cycles with exits, the second feeding the first
+    two_cycles = [[0] * n for _ in range(n)]
+    for i in range(10):
+        two_cycles[i][(i + 1) % 10] = 1
+        two_cycles[10 + i][10 + (i + 1) % 10] = 1
+    two_cycles[0][0] = 3
+    two_cycles[10][10] = 2
+    two_cycles[12][3] = 2
+    two_cycles[15][5] = 1
+
+    start = time.monotonic()
+    sets = hereditary_saturated_sets(DirectedGraph(labels, chain))
+    assert [d.vertices for d in sets] == [()] + [tuple(labels[k:]) for k in
+                                                 range(n - 1, -1, -1)]
+    inv = one_ideal_invariant(DirectedGraph(labels, two_cycles))
+    assert validate_sixterm(inv) == []
+    assert inv.groups["K0B"] == FgAbelianGroup(0, (3,))
+    assert inv.groups["K0E"] == FgAbelianGroup(0, (6,))
+    assert inv.groups["K0A"] == FgAbelianGroup(0, (2,))
+    assert time.monotonic() - start < 1.0
 
 
 def test_smith_form_and_ext_contracts():

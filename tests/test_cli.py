@@ -158,7 +158,7 @@ def test_subst_compare(capsys, tmp_path):
     s3 = dump(tmp_path / "s3.json", subst_json([[1, 1]], [[5, 3], [3, 3]], [0]))
     rc, out, _ = run_cli(capsys, "subst", "compare", s1, s2)
     assert rc == 0 and json.loads(out)["verdict"] == "isomorphic"
-    rc, out, _ = run_cli(capsys, "subst", "compare", "--bound", "32", s1, s3)
+    rc, out, _ = run_cli(capsys, "subst", "compare", s1, s3)
     assert rc == 0 and json.loads(out)["verdict"] == "not_isomorphic"
 
 

@@ -1,5 +1,11 @@
 """Graph K-theory, ideal lattices, and graph comparisons."""
+import random
+
 import pytest
+
+from oracles import hereditary_saturated_sets_bruteforce
+
+import kclass.sampling
 
 from kclass.graphalg import (
     DirectedGraph, IdealDatum, evaluate_subset, hereditary_saturated_sets,
@@ -84,6 +90,45 @@ def test_hereditary_failure_is_flagged():
     g = DirectedGraph(["v", "w"], [[1, 1], [0, 3]])
     d = evaluate_subset(g, ["v"])
     assert not d.hereditary
+
+
+def _random_graph(rng, n):
+    density = rng.choice((0.0, 0.1, 0.25, 0.5, 0.8))
+    adj = [[rng.randint(1, 3) if rng.random() < density else 0
+            for _ in range(n)] for _ in range(n)]
+    return DirectedGraph([f"v{i}" for i in range(n)], adj)
+
+
+def test_lattice_matches_bruteforce_on_random_graphs():
+    rng = random.Random(2002)
+    seen = {"sink": 0, "loop": 0, "parallel": 0, "edgeless": 0}
+    for _ in range(600):
+        g = _random_graph(rng, rng.randint(0, 10))
+        assert hereditary_saturated_sets(g) == hereditary_saturated_sets_bruteforce(g)
+        rows = g.adjacency.data
+        seen["sink"] += any(not any(r) for r in rows)
+        seen["loop"] += any(r[i] for i, r in enumerate(rows))
+        seen["parallel"] += any(m > 1 for r in rows for m in r)
+        seen["edgeless"] += not any(map(any, rows))
+    assert min(seen.values()) >= 20
+
+
+def test_lattice_matches_bruteforce_on_sampled_graphs(monkeypatch):
+    # every candidate the rejection sampler draws, accepted or not
+    checked = []
+
+    def checked_sets(g):
+        sets = hereditary_saturated_sets(g)
+        assert sets == hereditary_saturated_sets_bruteforce(g)
+        checked.append(g.n)
+        return sets
+
+    monkeypatch.setattr(kclass.sampling, "hereditary_saturated_sets", checked_sets)
+    rng = random.Random(5)
+    for max_vertices in (6, 10):
+        for _ in range(40):
+            kclass.sampling.random_one_ideal_graph(rng, max_vertices=max_vertices)
+    assert len(checked) >= 200 and max(checked) == 10
 
 
 def test_enumeration_guard():
