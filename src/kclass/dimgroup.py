@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .matrix import IntMatrix, solve, unimodular_inverse
+from .matrix import IntMatrix, unimodular_inverse
 from .surd import (
     QuadraticIrrational,
     _inv2,
@@ -20,14 +20,8 @@ from .surd import (
     convergent_matrix,
     equivalence_witness,
     mobius_apply,
-    sturmian_equivalent,
 )
 from . import verdict as V
-
-POSITIVE = "positive"
-NEGATIVE = "negative"
-ZERO = "zero"
-UNKNOWN_SIGN = "unknown"
 
 
 class StationaryDimensionGroup:
@@ -120,32 +114,11 @@ def dg_equal(G: StationaryDimensionGroup, x: DGElement, y: DGElement) -> bool:
     return dg_is_zero(G, DGElement(0, diff))
 
 
-def dg_add(G: StationaryDimensionGroup, x: DGElement, y: DGElement) -> DGElement:
-    vx, vy = _aligned(G, x, y)
-    return DGElement(max(x.stage, y.stage), tuple(a + b for a, b in zip(vx, vy)))
-
-
-def dg_neg(x: DGElement) -> DGElement:
-    return DGElement(x.stage, tuple(-a for a in x.vector))
-
-
-def dg_canonical(G: StationaryDimensionGroup, x: DGElement) -> tuple[int, ...]:
-    """Stage-0 coordinates of x; needs |det| = 1 so every pullback exists."""
-    if abs(G.determinant()) != 1:
-        raise ValueError("canonical coordinates need a unimodular matrix")
-    _check_element(G, x)
-    v = x.vector
-    for _ in range(x.stage):
-        v = solve(G.matrix, v)
-        assert v is not None
-    return tuple(v)
-
-
 def perron_slope(G: StationaryDimensionGroup) -> QuadraticIrrational:
     """omega with (1, omega) the left Perron eigenvector of a primitive 2x2 matrix.
 
-    Raises when the eigenvalue is rational (square discriminant); the
-    caller falls back to iteration in that case.
+    Raises when the eigenvalue is rational (square discriminant), which
+    lies outside the exact rank-2 engine.
     """
     if G.n != 2:
         raise ValueError("Perron slope is a 2x2 device")
@@ -158,41 +131,6 @@ def perron_slope(G: StationaryDimensionGroup) -> QuadraticIrrational:
     if w.is_rational:
         raise ValueError("rational Perron eigenvalue")
     return w
-
-
-def dg_positive(G: StationaryDimensionGroup, x: DGElement, bound: int = 64) -> str:
-    """Eventual sign of an element: positive, negative, zero, or unknown.
-
-    Unknown can only come out of the iteration fallback; the 2x2
-    irrational-slope case is decided exactly by the sign of v0 + omega v1.
-    """
-    if not G.ordered:
-        raise ValueError("positivity needs a nonnegative matrix")
-    if not G.is_primitive():
-        raise ValueError("positivity needs a primitive matrix")
-    _check_element(G, x)
-    if dg_is_zero(G, x):
-        return ZERO
-    if G.n == 2:
-        try:
-            w = perron_slope(G)
-        except ValueError:
-            w = None
-        if w is not None:
-            s = (w * x.vector[1] + x.vector[0]).sign()
-            if s > 0:
-                return POSITIVE
-            if s < 0:
-                return NEGATIVE
-            return ZERO
-    v = list(x.vector)
-    for _ in range(bound):
-        if all(c >= 0 for c in v):
-            return POSITIVE
-        if all(c <= 0 for c in v):
-            return NEGATIVE
-        v = list(G.matrix.apply(v))
-    return UNKNOWN_SIGN
 
 
 def is_positive_slope_map(G1: StationaryDimensionGroup, G2: StationaryDimensionGroup,
@@ -499,13 +437,9 @@ def compare_substitution_invariants(i1: SubstitutionInvariant,
     if not fg1:
         return V.unknown("no exact engine for two non-finitely-generated groups")
     if m1 == 2 and G1.is_primitive() and G2.is_primitive():
-        try:
-            w1, w2 = perron_slope(G1), perron_slope(G2)
-        except ValueError:
-            return V.unknown("rational Perron data fall outside the exact engine")
-        if not sturmian_equivalent(w1, w2):
-            return V.not_isomorphic("Perron slope classes are inequivalent")
+        # |det| = 1 and a Perron root above 1 make both slopes irrational
         psi = order_iso_base(G1, G2)
-        assert psi is not None
+        if psi is None:
+            return V.not_isomorphic("Perron slope classes are inequivalent")
         return V.isomorphic(_subst_witness(i1, i2, sigma, psi))
     return V.unknown("beyond the exact rank-2 engine")

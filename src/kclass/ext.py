@@ -27,7 +27,7 @@ from .groups import (
 class ExtGroup:
     """Ext(source, target) with a basis aligned to the source's torsion generators."""
 
-    __slots__ = ("source", "target", "moduli", "group", "_pres")
+    __slots__ = ("source", "target", "moduli", "group")
 
     def __init__(self, source: FgAbelianGroup, target: FgAbelianGroup):
         moduli = []
@@ -37,9 +37,8 @@ class ExtGroup:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "moduli", tuple(moduli))
-        pres = Presentation(IntMatrix.diagonal(moduli, rows=len(moduli), cols=len(moduli)))
-        object.__setattr__(self, "_pres", pres)
-        object.__setattr__(self, "group", pres.group)
+        diag = IntMatrix.diagonal(moduli, rows=len(moduli), cols=len(moduli))
+        object.__setattr__(self, "group", Presentation(diag).group)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtGroup is immutable")
@@ -73,14 +72,6 @@ class ExtGroup:
     def block(self, coords: Sequence[int], i: int) -> tuple[int, ...]:
         s = self.block_size
         return tuple(coords[i * s: (i + 1) * s])
-
-    def to_canonical(self, el: ExtElement) -> tuple[int, ...]:
-        """Coordinates of an element in the canonical form of the Ext group."""
-        return self._pres.project(el.coords)
-
-    def canonical_generator_coords(self, i: int) -> tuple[int, ...]:
-        """Block coordinates of canonical generator i of the Ext group."""
-        return self.reduce(self._pres.lift(i))
 
     def elements(self):
         for c in _tuples_mod(self.moduli):
@@ -246,25 +237,40 @@ def _chain_matrix(alpha: GroupHom) -> list[list[int]]:
     return out
 
 
+def _pull_blocks(chain: list[list[int]], coords: Sequence[int], s: int,
+                 nblocks: int) -> list[int]:
+    """Unreduced block coordinates pulled back along a chain matrix:
+    output block i is the sum over j of chain[j][i] times block j."""
+    out: list[int] = []
+    for i in range(nblocks):
+        acc = [0] * s
+        for j, row in enumerate(chain):
+            c = row[i]
+            if c:
+                base = j * s
+                for t in range(s):
+                    acc[t] += c * coords[base + t]
+        out.extend(acc)
+    return out
+
+
+def _push_blocks(mat: IntMatrix, coords: Sequence[int], s: int,
+                 nblocks: int) -> list[int]:
+    """Unreduced block coordinates with ``mat`` applied to every block."""
+    out: list[int] = []
+    for i in range(nblocks):
+        out.extend(mat.apply(coords[i * s: (i + 1) * s]))
+    return out
+
+
 def pull_element(alpha: GroupHom, x: ExtElement) -> ExtElement:
     """Functorial map Ext(A2, B) -> Ext(A1, B) along alpha: A1 -> A2."""
     E = x.group
     if alpha.codomain != E.source:
         raise ValueError("alpha must land in the source of the Ext group")
     target_ext = ExtGroup(alpha.domain, E.target)
-    chain = _chain_matrix(alpha)
-    s = E.block_size
-    coords: list[int] = []
-    for i in range(target_ext.nblocks):
-        acc = [0] * s
-        for j in range(E.nblocks):
-            c = chain[j][i]
-            if c:
-                blk = E.block(x.coords, j)
-                for t in range(s):
-                    acc[t] += c * blk[t]
-        coords.extend(acc)
-    return target_ext.element(coords)
+    return target_ext.element(_pull_blocks(_chain_matrix(alpha), x.coords,
+                                           E.block_size, target_ext.nblocks))
 
 
 def push_element(beta: GroupHom, x: ExtElement) -> ExtElement:
@@ -273,79 +279,28 @@ def push_element(beta: GroupHom, x: ExtElement) -> ExtElement:
     if beta.domain != E.target:
         raise ValueError("beta must start at the target of the Ext group")
     target_ext = ExtGroup(E.source, beta.codomain)
-    coords: list[int] = []
-    for i in range(E.nblocks):
-        blk = E.block(x.coords, i)
-        coords.extend(beta.matrix.apply(blk))
-    return target_ext.element(coords)
-
-
-def ext_pushforward(source: FgAbelianGroup, beta: GroupHom) -> GroupHom:
-    """The induced hom between canonical Ext groups along beta on the target."""
-    E1 = ExtGroup(source, beta.domain)
-    E2 = ExtGroup(source, beta.codomain)
-    cols = []
-    for i in range(E1.group.ngens):
-        el = E1.element(E1.canonical_generator_coords(i))
-        cols.append(E2.to_canonical(push_element(beta, el)))
-    return GroupHom(E1.group, E2.group, IntMatrix.from_columns(cols, rows=E2.group.ngens))
-
-
-def ext_pullback(alpha: GroupHom, target: FgAbelianGroup) -> GroupHom:
-    """The induced hom between canonical Ext groups along alpha on the source."""
-    E2 = ExtGroup(alpha.codomain, target)
-    E1 = ExtGroup(alpha.domain, target)
-    cols = []
-    for i in range(E2.group.ngens):
-        el = E2.element(E2.canonical_generator_coords(i))
-        cols.append(E1.to_canonical(pull_element(alpha, el)))
-    return GroupHom(E2.group, E1.group, IntMatrix.from_columns(cols, rows=E1.group.ngens))
+    return target_ext.element(_push_blocks(beta.matrix, x.coords,
+                                           E.block_size, E.nblocks))
 
 
 def _induced_steps(E: ExtGroup, source_auts: Sequence[GroupHom],
                    target_auts: Sequence[GroupHom]) -> list[tuple[str, int, Callable]]:
+    s, nb = E.block_size, E.nblocks
     steps: list[tuple[str, int, Callable]] = []
     for i, alpha in enumerate(source_auts):
         if alpha.domain != E.source or alpha.codomain != E.source:
             raise ValueError("source automorphism acts on the wrong group")
         if not alpha.is_isomorphism():
             raise ValueError("source generator is not an automorphism")
-        chain = _chain_matrix(alpha)
-        s = E.block_size
-        nb = E.nblocks
-
-        def mk_pull(chain=chain):
-            def step(coords):
-                out: list[int] = []
-                for bi in range(nb):
-                    acc = [0] * s
-                    for bj in range(nb):
-                        c = chain[bj][bi]
-                        if c:
-                            base = bj * s
-                            for t in range(s):
-                                acc[t] += c * coords[base + t]
-                    out.extend(acc)
-                return E.reduce(out)
-            return step
-
-        steps.append(("pull", i, mk_pull()))
+        steps.append(("pull", i, lambda coords, chain=_chain_matrix(alpha):
+                      E.reduce(_pull_blocks(chain, coords, s, nb))))
     for i, beta in enumerate(target_auts):
         if beta.domain != E.target or beta.codomain != E.target:
             raise ValueError("target automorphism acts on the wrong group")
         if not beta.is_isomorphism():
             raise ValueError("target generator is not an automorphism")
-
-        def mk_push(mat=beta.matrix):
-            def step(coords):
-                out: list[int] = []
-                for bi in range(E.nblocks):
-                    blk = E.block(coords, bi)
-                    out.extend(mat.apply(blk))
-                return E.reduce(out)
-            return step
-
-        steps.append(("push", i, mk_push()))
+        steps.append(("push", i, lambda coords, mat=beta.matrix:
+                      E.reduce(_push_blocks(mat, coords, s, nb))))
     return steps
 
 
@@ -390,27 +345,3 @@ def orbit_search(E: ExtGroup, x1: ExtElement, x2: ExtElement,
         frontier = new
     return False, None
 
-
-def apply_word(E: ExtGroup, x: ExtElement, word: Sequence[tuple[str, int]],
-               source_auts: Sequence[GroupHom], target_auts: Sequence[GroupHom]) -> ExtElement:
-    """Apply a move word from orbit_search to an element, first move first."""
-    steps = {(kind, idx): fn for kind, idx, fn in _induced_steps(E, source_auts, target_auts)}
-    coords = x.coords
-    for move in word:
-        coords = steps[tuple(move)](coords)
-    return E.element(coords)
-
-
-def aut_orbit_decide(E: ExtGroup, x1: ExtElement, x2: ExtElement,
-                     source_auts: Sequence[GroupHom], target_auts: Sequence[GroupHom],
-                     limit: int = 10 ** 6) -> bool | None:
-    """Whether x2 lies in the orbit of x1 under the generated automorphisms.
-
-    The action is generated by pullbacks along the given automorphisms of
-    the source and pushforwards along those of the target.  Because every
-    generator acts with finite order on the finite group Ext(A, B), the
-    reachable set is the full group orbit.  Returns None when the orbit
-    grows past ``limit``.
-    """
-    found, _ = orbit_search(E, x1, x2, source_auts, target_auts, limit)
-    return found

@@ -66,10 +66,6 @@ class DirectedGraph:
     def index_of(self, label) -> int:
         return self.vertices.index(label)
 
-    def relabel(self, mapping: dict) -> "DirectedGraph":
-        return DirectedGraph([mapping.get(v, v) for v in self.vertices],
-                             self.adjacency)
-
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices),
                 "adjacency": self.adjacency.to_lists()}
@@ -216,14 +212,6 @@ def subgraph(g: DirectedGraph, subset) -> DirectedGraph:
                          IntMatrix(adj) if idx else IntMatrix.zeros(0, 0))
 
 
-def quotient_graph(g: DirectedGraph, subset) -> DirectedGraph:
-    """The graph with a hereditary saturated subset removed."""
-    keep = [i for i in range(g.n) if g.vertices[i] not in set(subset)]
-    adj = [[g.adjacency[i, j] for j in keep] for i in keep]
-    return DirectedGraph([g.vertices[i] for i in keep],
-                         IntMatrix(adj) if keep else IntMatrix.zeros(0, 0))
-
-
 @dataclass(frozen=True)
 class GraphKTheory:
     """K-groups of a graph with the map from vertex space to K0."""
@@ -234,44 +222,27 @@ class GraphKTheory:
     unit_class: tuple          # class of the sum of all vertex projections
 
 
-def _restricted_matrix(g: DirectedGraph) -> tuple[IntMatrix, list[int]]:
-    """Transposed adjacency minus identity, on the emitting columns."""
-    regular = [i for i in range(g.n) if g.is_regular(i)]
-    cols = []
-    for v in regular:
-        col = [g.adjacency[v, j] for j in range(g.n)]
-        col[v] -= 1
-        cols.append(col)
-    return IntMatrix.from_columns(cols, rows=g.n), regular
+class _GraphK:
+    """K-groups of a graph from M, the transposed adjacency minus the
+    identity on the emitting columns (listed in ``regular``).
 
+    K1 is free on ``k1_basis``, the integer kernel of M.  K0 is the
+    cokernel of M, read in path-count coordinates when ``af`` is set,
+    which needs a graph without cycles.
+    """
 
-def graph_ktheory(g: DirectedGraph) -> GraphKTheory:
-    M, _ = _restricted_matrix(g)
-    pres = Presentation(M)
-    k0 = pres.group
-    cols = []
-    for i in range(g.n):
-        e = [0] * g.n
-        e[i] = 1
-        cols.append(pres.project(e))
-    free = FgAbelianGroup(g.n, ())
-    classes = GroupHom(free, k0, IntMatrix.from_columns(cols, rows=k0.ngens))
-    unit = k0.reduce(classes.matrix.apply([1] * g.n)) if g.n else k0.zero()
-    k1 = FgAbelianGroup(len(kernel_basis(M)), ())
-    return GraphKTheory(k0, k1, classes, unit)
-
-
-class _Side:
-    """K0 presentation of one side of the extension, with lifts."""
-
-    def __init__(self, graph: DirectedGraph, kind: str):
-        self.kind = kind
-        M, regular = _restricted_matrix(graph)
-        self.matrix = M
-        self.regular = regular
-        self.k1_basis = kernel_basis(M)
+    def __init__(self, graph: DirectedGraph, af: bool):
+        self.af = af
+        self.regular = [i for i in range(graph.n) if graph.is_regular(i)]
+        cols = []
+        for v in self.regular:
+            col = list(graph.adjacency.row(v))
+            col[v] -= 1
+            cols.append(col)
+        self.matrix = IntMatrix.from_columns(cols, rows=graph.n)
+        self.k1_basis = kernel_basis(self.matrix)
         self.k1 = FgAbelianGroup(len(self.k1_basis), ())
-        if kind == AF:
+        if af:
             # path-count coordinates: K0 is free on the sinks
             sinks = [i for i in range(graph.n) if not graph.is_regular(i)]
             order = _topological_order(graph)
@@ -292,23 +263,37 @@ class _Side:
             self._counts = IntMatrix.from_columns(
                 [counts[v] for v in range(graph.n)], rows=len(sinks))
             self._sinks = sinks
-            self.cone = standard_free_cone()
         else:
-            self.pres = Presentation(M)
+            self.pres = Presentation(self.matrix)
             self.k0 = self.pres.group
-            self.cone = all_positive_cone()
 
     def project(self, vec) -> tuple:
-        if self.kind == AF:
+        """K0 class of a vertex-space vector."""
+        if self.af:
             return tuple(self._counts.apply(vec))
         return self.pres.project(vec)
 
     def lift(self, i: int) -> list:
-        if self.kind == AF:
+        """A vertex-space representative of K0 generator i."""
+        if self.af:
             out = [0] * self._counts.cols
             out[self._sinks[i]] = 1
             return out
         return list(self.pres.lift(i))
+
+
+def graph_ktheory(g: DirectedGraph) -> GraphKTheory:
+    kt = _GraphK(g, af=False)
+    k0 = kt.k0
+    cols = []
+    for i in range(g.n):
+        e = [0] * g.n
+        e[i] = 1
+        cols.append(kt.project(e))
+    free = FgAbelianGroup(g.n, ())
+    classes = GroupHom(free, k0, IntMatrix.from_columns(cols, rows=k0.ngens))
+    unit = k0.reduce(classes.matrix.apply([1] * g.n)) if g.n else k0.zero()
+    return GraphKTheory(k0, kt.k1, classes, unit)
 
 
 def _topological_order(g: DirectedGraph) -> list[int]:
@@ -329,37 +314,44 @@ def _topological_order(g: DirectedGraph) -> list[int]:
     return order
 
 
-def one_ideal_invariant(g: DirectedGraph) -> SixTermInvariant:
-    """Six-term invariant of a graph with exactly one nontrivial ideal.
+def one_ideal_parts(g: DirectedGraph) -> tuple:
+    """(H, ideal graph, its type, quotient graph, its type) for a graph
+    whose only nontrivial hereditary saturated set is H.
 
-    The ideal and quotient must classify as af or purely_infinite.  The
-    constructed cycle is checked for exactness before being returned.
+    Raises ValueError unless H is unique and the ideal and quotient both
+    classify as af or purely_infinite.
     """
     nontrivial = [d for d in hereditary_saturated_sets(g) if d.nontrivial]
     if len(nontrivial) != 1:
         raise ValueError(f"expected exactly one nontrivial hereditary "
                          f"saturated set, found {len(nontrivial)}")
     hset = nontrivial[0].vertices
-    sub = subgraph(g, hset)
-    quot = quotient_graph(g, hset)
-    kind_b = classify_simple(sub)
-    kind_a = classify_simple(quot)
-    for name, kind in (("ideal", kind_b), ("quotient", kind_a)):
+    parts: list = [hset]
+    rest = [v for v in g.vertices if v not in hset]
+    for name, vertices in (("ideal", hset), ("quotient", rest)):
+        h = subgraph(g, vertices)
+        kind = classify_simple(h)
         if kind not in (AF, PURELY_INFINITE):
             raise ValueError(f"the {name} does not classify as af or "
                              "purely_infinite")
+        parts += [h, kind]
+    return tuple(parts)
 
-    side_b = _Side(sub, kind_b)
-    side_a = _Side(quot, kind_a)
-    M_e, regular_e = _restricted_matrix(g)
-    pres_e = Presentation(M_e)
-    k0e = pres_e.group
-    k1e_basis = kernel_basis(M_e)
-    k1e = FgAbelianGroup(len(k1e_basis), ())
+
+def one_ideal_invariant(g: DirectedGraph) -> SixTermInvariant:
+    """Six-term invariant of a graph with exactly one nontrivial ideal.
+
+    The ideal and quotient must classify as af or purely_infinite.  The
+    constructed cycle is checked for exactness before being returned.
+    """
+    hset, sub, kind_b, quot, kind_a = one_ideal_parts(g)
+    side_b = _GraphK(sub, kind_b == AF)
+    side_a = _GraphK(quot, kind_a == AF)
+    whole = _GraphK(g, af=False)
 
     h_idx = sorted(g.index_of(v) for v in hset)
     q_idx = [i for i in range(g.n) if i not in set(h_idx)]
-    reg_pos = {v: c for c, v in enumerate(regular_e)}
+    reg_pos = {v: c for c, v in enumerate(whole.regular)}
 
     def pad_vertex(vec_local, idx):
         out = [0] * g.n
@@ -368,74 +360,78 @@ def one_ideal_invariant(g: DirectedGraph) -> SixTermInvariant:
         return out
 
     # inclusion on K0: vertex classes of the ideal, viewed in the whole graph
-    cols = [pres_e.project(pad_vertex(side_b.lift(i), h_idx))
+    cols = [whole.project(pad_vertex(side_b.lift(i), h_idx))
             for i in range(side_b.k0.ngens)]
-    iota0 = GroupHom(side_b.k0, k0e,
-                     IntMatrix.from_columns(cols, rows=k0e.ngens))
+    iota0 = GroupHom(side_b.k0, whole.k0,
+                     IntMatrix.from_columns(cols, rows=whole.k0.ngens))
     # projection on K0: drop the ideal coordinates
     cols = []
-    for i in range(k0e.ngens):
-        amb = pres_e.lift(i)
+    for i in range(whole.k0.ngens):
+        amb = whole.lift(i)
         cols.append(side_a.project([amb[j] for j in q_idx]))
-    pi0 = GroupHom(k0e, side_a.k0,
+    pi0 = GroupHom(whole.k0, side_a.k0,
                    IntMatrix.from_columns(cols, rows=side_a.k0.ngens))
-    delta = GroupHom(side_a.k0, side_b.k1,
-                     IntMatrix.zeros(side_b.k1.ngens, side_a.k0.ngens))
+    delta = GroupHom.zero(side_a.k0, side_b.k1)
 
     # K1 maps ride on the kernel lattices
     sub_reg_vertices = [h_idx[c] for c in side_b.regular]
     quot_reg_vertices = [q_idx[c] for c in side_a.regular]
-    basis_e = IntMatrix.from_columns(k1e_basis, rows=len(regular_e)) \
-        if k1e_basis else IntMatrix.zeros(len(regular_e), 0)
+    basis_e = IntMatrix.from_columns(whole.k1_basis, rows=len(whole.regular)) \
+        if whole.k1_basis else IntMatrix.zeros(len(whole.regular), 0)
 
     cols = []
     for vec in side_b.k1_basis:
-        padded = [0] * len(regular_e)
+        padded = [0] * len(whole.regular)
         for x, v in zip(vec, sub_reg_vertices):
             padded[reg_pos[v]] = x
         sol = solve(basis_e, padded)
         if sol is None:
             raise RuntimeError("ideal cycle vector is missing upstairs")
         cols.append(sol)
-    iota1 = GroupHom(side_b.k1, k1e,
-                     IntMatrix.from_columns(cols, rows=k1e.ngens))
+    iota1 = GroupHom(side_b.k1, whole.k1,
+                     IntMatrix.from_columns(cols, rows=whole.k1.ngens))
 
     basis_a = IntMatrix.from_columns(side_a.k1_basis,
                                      rows=len(side_a.regular)) \
         if side_a.k1_basis else IntMatrix.zeros(len(side_a.regular), 0)
     cols = []
-    for vec in k1e_basis:
+    for vec in whole.k1_basis:
         restricted = [vec[reg_pos[v]] for v in quot_reg_vertices]
         sol = solve(basis_a, restricted)
         if sol is None:
             raise RuntimeError("cycle vector does not restrict to the quotient")
         cols.append(sol)
-    pi1 = GroupHom(k1e, side_a.k1,
+    pi1 = GroupHom(whole.k1, side_a.k1,
                    IntMatrix.from_columns(cols, rows=side_a.k1.ngens))
 
     # index map: push a quotient cycle vector through the whole matrix
     # and read off the ideal rows
     cols = []
     for vec in side_a.k1_basis:
-        padded = [0] * len(regular_e)
+        padded = [0] * len(whole.regular)
         for x, v in zip(vec, quot_reg_vertices):
             padded[reg_pos[v]] = x
-        img = M_e.apply(padded)
+        img = whole.matrix.apply(padded)
         cols.append(side_b.project([img[j] for j in h_idx]))
     bdry = GroupHom(side_a.k1, side_b.k0,
                     IntMatrix.from_columns(cols, rows=side_b.k0.ngens))
 
     inv = SixTermInvariant(
-        {"K0B": side_b.k0, "K0E": k0e, "K0A": side_a.k0,
-         "K1A": side_a.k1, "K1E": k1e, "K1B": side_b.k1},
+        {"K0B": side_b.k0, "K0E": whole.k0, "K0A": side_a.k0,
+         "K1A": side_a.k1, "K1E": whole.k1, "K1B": side_b.k1},
         {"K0B->K0E": iota0, "K0E->K0A": pi0, "K0A->K1B": delta,
          "K1B->K1E": iota1, "K1E->K1A": pi1, "K1A->K0B": bdry},
-        {"K0B": side_b.cone, "K0E": unordered_cone(), "K0A": side_a.cone})
+        {"K0B": _cone(kind_b), "K0E": unordered_cone(), "K0A": _cone(kind_a)})
     problems = validate_sixterm(inv)
     if problems:
         raise RuntimeError("constructed cycle is not exact: "
                            + "; ".join(problems))
     return inv
+
+
+def _cone(kind: str):
+    """Coordinatewise cone for an af side, the whole group otherwise."""
+    return standard_free_cone() if kind == AF else all_positive_cone()
 
 
 def compare_graphs(g1: DirectedGraph, g2: DirectedGraph, **kwargs) -> IsoVerdict:

@@ -210,16 +210,15 @@ class GroupHom:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
-    def is_injective(self) -> bool:
-        K, _ = kernel(self)
-        return K.is_trivial()
-
     def is_surjective(self) -> bool:
         C, _ = cokernel(self)
         return C.is_trivial()
 
     def is_isomorphism(self) -> bool:
-        return self.is_injective() and self.is_surjective()
+        """Groups are canonical, so isomorphic groups are equal, and a
+        surjective endomorphism of a finitely generated abelian group is
+        injective."""
+        return self.domain == self.codomain and self.is_surjective()
 
     def inverse(self) -> GroupHom:
         """Inverse of an isomorphism."""

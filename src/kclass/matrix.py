@@ -145,9 +145,6 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.data)
 
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(list(zip(*self.data)) if self.data else [], cols=self.rows)
-
     def power(self, k: int) -> IntMatrix:
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
@@ -338,11 +335,6 @@ def solve(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
         elif z[i] != 0:
             return None
     return dec.V.apply(y)
-
-
-def in_column_span(M: IntMatrix, b: Sequence[int]) -> bool:
-    """Whether b lies in the integer column span of M."""
-    return solve(M, b) is not None
 
 
 def column_space_basis(M: IntMatrix) -> list[tuple[int, ...]]:

@@ -13,9 +13,7 @@ import random
 from .matrix import IntMatrix
 from .groups import FgAbelianGroup, GroupHom
 from .ext import ext1, realize_extension
-from .graphalg import (DirectedGraph, hereditary_saturated_sets,
-                       classify_simple, subgraph, quotient_graph,
-                       one_ideal_invariant, AF, PURELY_INFINITE)
+from .graphalg import DirectedGraph, one_ideal_invariant, one_ideal_parts
 from .sixterm import (SixTermInvariant, all_positive_cone, standard_free_cone,
                       unordered_cone, NODES, MAP_KEYS)
 
@@ -59,13 +57,9 @@ def random_one_ideal_graph(rng: random.Random, max_vertices: int = 6,
                 if rng.random() < 0.45:
                     adj[i][j] = rng.randint(1, max_mult)
         g = DirectedGraph([f"v{i}" for i in range(n)], IntMatrix(adj))
-        nontrivial = [d for d in hereditary_saturated_sets(g) if d.nontrivial]
-        if len(nontrivial) != 1:
-            continue
-        hset = nontrivial[0].vertices
-        if classify_simple(subgraph(g, hset)) not in (AF, PURELY_INFINITE):
-            continue
-        if classify_simple(quotient_graph(g, hset)) not in (AF, PURELY_INFINITE):
+        try:
+            one_ideal_parts(g)
+        except ValueError:
             continue
         return g
     raise RuntimeError("no admissible graph found within the attempt budget")
@@ -99,11 +93,10 @@ def _random_extension(rng: random.Random, small: bool = False):
 def _vanishing_k1_invariant(rng: random.Random) -> SixTermInvariant:
     A, B, G, incl, proj = _random_extension(rng)
     T = FgAbelianGroup(0, ())
-    def z(d, c):
-        return GroupHom(d, c, IntMatrix.zeros(c.ngens, d.ngens))
     groups = {"K0B": B, "K0E": G, "K0A": A, "K1A": T, "K1E": T, "K1B": T}
-    maps = {"K0B->K0E": incl, "K0E->K0A": proj, "K0A->K1B": z(A, T),
-            "K1B->K1E": z(T, T), "K1E->K1A": z(T, T), "K1A->K0B": z(T, B)}
+    maps = {"K0B->K0E": incl, "K0E->K0A": proj,
+            "K0A->K1B": GroupHom.zero(A, T), "K1B->K1E": GroupHom.zero(T, T),
+            "K1E->K1A": GroupHom.zero(T, T), "K1A->K0B": GroupHom.zero(T, B)}
     cones = {"K0B": _random_cone(rng, B), "K0E": unordered_cone(),
              "K0A": _random_cone(rng, A)}
     return SixTermInvariant(groups, maps, cones)
@@ -113,12 +106,10 @@ def _glued_pair_invariant(rng: random.Random) -> SixTermInvariant:
     # two short exact rows with zero connecting maps
     A0, B0, G0, incl0, proj0 = _random_extension(rng)
     A1, B1, G1, incl1, proj1 = _random_extension(rng, small=True)
-    def z(d, c):
-        return GroupHom(d, c, IntMatrix.zeros(c.ngens, d.ngens))
     groups = {"K0B": B0, "K0E": G0, "K0A": A0,
               "K1B": B1, "K1E": G1, "K1A": A1}
-    maps = {"K0B->K0E": incl0, "K0E->K0A": proj0, "K0A->K1B": z(A0, B1),
-            "K1B->K1E": incl1, "K1E->K1A": proj1, "K1A->K0B": z(A1, B0)}
+    maps = {"K0B->K0E": incl0, "K0E->K0A": proj0, "K0A->K1B": GroupHom.zero(A0, B1),
+            "K1B->K1E": incl1, "K1E->K1A": proj1, "K1A->K0B": GroupHom.zero(A1, B0)}
     cones = {"K0B": _random_cone(rng, B0), "K0E": unordered_cone(),
              "K0A": _random_cone(rng, A0)}
     return SixTermInvariant(groups, maps, cones)

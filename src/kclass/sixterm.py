@@ -215,6 +215,11 @@ def validate_sixterm(inv: SixTermInvariant) -> list[str]:
     return out
 
 
+# Witness component names and the node each one acts on.
+_WITNESS_NODES = (("beta0", "K0B"), ("eta0", "K0E"), ("alpha0", "K0A"),
+                  ("beta1", "K1B"), ("eta1", "K1E"), ("alpha1", "K1A"))
+
+
 @dataclass
 class Witness:
     """Six isomorphisms forming a map of six-term cycles."""
@@ -227,21 +232,14 @@ class Witness:
     alpha1: GroupHom  # K1A -> K1A
 
     def to_json(self) -> dict:
-        return {
-            "beta0": self.beta0.matrix.to_lists(),
-            "eta0": self.eta0.matrix.to_lists(),
-            "alpha0": self.alpha0.matrix.to_lists(),
-            "beta1": self.beta1.matrix.to_lists(),
-            "eta1": self.eta1.matrix.to_lists(),
-            "alpha1": self.alpha1.matrix.to_lists(),
-        }
+        return {name: getattr(self, name).matrix.to_lists()
+                for name, _ in _WITNESS_NODES}
 
     @classmethod
     def from_json(cls, inv1: SixTermInvariant, inv2: SixTermInvariant,
                   data: dict) -> "Witness":
         homs = {}
-        for name, node in (("beta0", "K0B"), ("eta0", "K0E"), ("alpha0", "K0A"),
-                           ("beta1", "K1B"), ("eta1", "K1E"), ("alpha1", "K1A")):
+        for name, node in _WITNESS_NODES:
             dom, cod = inv1.groups[node], inv2.groups[node]
             raw = data[name]
             mat = IntMatrix(raw) if raw else IntMatrix.zeros(cod.ngens, dom.ngens)
@@ -275,8 +273,7 @@ def verify_witness(inv1: SixTermInvariant, inv2: SixTermInvariant, w) -> bool:
             w = Witness.from_json(inv1, inv2, w)
         except (KeyError, ValueError, TypeError):
             return False
-    parts = {"K0B": w.beta0, "K0E": w.eta0, "K0A": w.alpha0,
-             "K1B": w.beta1, "K1E": w.eta1, "K1A": w.alpha1}
+    parts = {node: getattr(w, name) for name, node in _WITNESS_NODES}
     for node, h in parts.items():
         if h.domain != inv1.groups[node] or h.codomain != inv2.groups[node]:
             return False
@@ -436,9 +433,8 @@ def _iso_pool(G1, c1, G2, c2, base: GroupHom, budget: int):
 
 
 def _identity_witness(inv: SixTermInvariant) -> Witness:
-    g = inv.groups
-    return Witness(*(GroupHom.identity(g[n])
-                     for n in ("K0B", "K0E", "K0A", "K1B", "K1E", "K1A")))
+    return Witness(**{name: GroupHom.identity(inv.groups[node])
+                      for name, node in _WITNESS_NODES})
 
 
 def _ext_route(inv1: SixTermInvariant, inv2: SixTermInvariant,
@@ -473,21 +469,20 @@ def _ext_route(inv1: SixTermInvariant, inv2: SixTermInvariant,
             U = U @ gens_a[idx]
         else:
             W = gens_b[idx] @ W
-    zero1 = {n: GroupHom(inv1.groups[n], inv2.groups[n],
-                         IntMatrix.zeros(inv2.groups[n].ngens, inv1.groups[n].ngens))
-             for n in ("K1B", "K1E", "K1A")}
-    for ua, wb in ((U.inverse(), W), (U, W.inverse()), (U, W),
-                   (U.inverse(), W.inverse())):
-        alpha0 = base_a @ ua
-        beta0 = base_b @ wb
-        eta0 = solve_hom_equations(
-            inv1.groups["K0E"], inv2.groups["K0E"],
-            [(None, iota1, (iota2 @ beta0).matrix),
-             (pi2, None, (alpha0 @ pi1).matrix)])
-        if eta0 is None:
-            continue
-        w = Witness(beta0, eta0, alpha0,
-                    zero1["K1B"], zero1["K1E"], zero1["K1A"])
+    # The word gives W_* U^* x1 = (base_b^-1)_* base_a^* x2, and a map of
+    # extensions needs beta0_* x1 = alpha0^* x2: so alpha0 = base_a U^-1
+    # and beta0 = base_b W.
+    alpha0 = base_a @ U.inverse()
+    beta0 = base_b @ W
+    eta0 = solve_hom_equations(
+        inv1.groups["K0E"], inv2.groups["K0E"],
+        [(None, iota1, (iota2 @ beta0).matrix),
+         (pi2, None, (alpha0 @ pi1).matrix)])
+    if eta0 is not None:
+        g1, g2 = inv1.groups, inv2.groups
+        w = Witness(beta0, eta0, alpha0, GroupHom.zero(g1["K1B"], g2["K1B"]),
+                    GroupHom.zero(g1["K1E"], g2["K1E"]),
+                    GroupHom.zero(g1["K1A"], g2["K1A"]))
         if verify_witness(inv1, inv2, w):
             return isomorphic(w.to_json())
     return None  # fall through to the general search

@@ -15,16 +15,18 @@ from .matrix import IntMatrix
 
 
 _TRIAL_BOUND = 10 ** 5
+# A cofactor with no prime factor up to _TRIAL_BOUND and below this
+# limit has at most two prime factors (100003**3 > 10**15): it is p, pq
+# or p*p, and isqrt tells them apart.
+_COFACTOR_LIMIT = 10 ** 15
 
 
 def _squarefree_decompose(d: int) -> tuple[int, int]:
     """d = s*s * d0 with d0 squarefree; returns (s, d0).
 
-    Trial division is capped: a leftover cofactor with no prime factor
-    below the cap is taken whole if it is not a perfect square.  That is
-    exact whenever the true squarefree part has only primes below the
-    cap, which holds for every value derived from a base field with
-    small d (discriminants met here are square multiples of such d).
+    Trial division is capped at _TRIAL_BOUND.  The leftover cofactor is
+    classified exactly below _COFACTOR_LIMIT; a larger one that is not a
+    perfect square raises ValueError, since it may hide a square factor.
     """
     s = 1
     d0 = 1
@@ -44,6 +46,10 @@ def _squarefree_decompose(d: int) -> tuple[int, int]:
         r = isqrt(n)
         if r * r == n:
             s *= r
+        elif n >= _COFACTOR_LIMIT:
+            raise ValueError(f"unsupported radicand {d}: its cofactor {n} has no "
+                             f"prime factor up to {_TRIAL_BOUND} and is too large "
+                             "to prove squarefree")
         else:
             d0 *= n
     return s, d0
@@ -152,9 +158,6 @@ class QuadraticIrrational:
         norm = self.a * self.a - self.b * self.b * self.d
         return QuadraticIrrational(self.c * self.a, -self.c * self.b, norm, self.d)
 
-    def conjugate(self) -> "QuadraticIrrational":
-        return QuadraticIrrational(self.a, -self.b, self.c, self.d)
-
     def sign(self) -> int:
         if self.b == 0:
             return (self.a > 0) - (self.a < 0)
@@ -234,7 +237,8 @@ def cf_expansion(x: QuadraticIrrational, max_steps: int = 10 ** 4) -> tuple[list
     """Exact continued fraction (preperiod, minimal period).
 
     Iterates x -> 1/(x - floor(x)) with exact surd states; the first
-    repeated state closes the minimal period.
+    repeated state closes the minimal period.  Raises ValueError naming
+    ``max_steps`` when no state repeats within that many digits.
     """
     if x.is_rational:
         raise ValueError("continued fraction of a rational: not supported here")
@@ -250,7 +254,7 @@ def cf_expansion(x: QuadraticIrrational, max_steps: int = 10 ** 4) -> tuple[list
         q = cur.floor()
         digits.append(q)
         cur = (cur - q).reciprocal()
-    raise RuntimeError("continued fraction failed to close (step bound hit)")
+    raise ValueError(f"continued fraction did not close within max_steps={max_steps}")
 
 
 def digit_matrix(q: int) -> IntMatrix:
@@ -284,34 +288,10 @@ def cf_value(preperiod, period) -> QuadraticIrrational:
     return mobius_apply(convergent_matrix(preperiod), y)
 
 
-def _rotations(seq: list[int]):
-    for r in range(len(seq)):
-        yield r, seq[r:] + seq[:r]
-
-
-def sturmian_equivalent(x: QuadraticIrrational, y: QuadraticIrrational) -> bool:
-    """Whether x and y have eventually coinciding continued fractions.
-
-    Equivalent to integral Moebius equivalence (determinant +-1), which
-    decides ordered-group isomorphism of Z + xZ and Z + yZ.
-    """
-    if x.is_rational or y.is_rational:
-        raise ValueError("inputs must be irrational")
-    if x.d != y.d:
-        return False
-    _, p1 = cf_expansion(x)
-    _, p2 = cf_expansion(y)
-    if len(p1) != len(p2):
-        return False
-    return any(rot == p2 for _, rot in _rotations(p1))
-
-
-def equivalence_witness(x: QuadraticIrrational, y: QuadraticIrrational) -> IntMatrix | None:
-    """A unimodular M with mobius_apply(M, x) == y, or None.
-
-    Built from the continued fractions: if the tail of x after m digits
-    equals the tail of y after n digits, then y = G_n(y) G_m(x)^{-1} x.
-    """
+def _period_match(x: QuadraticIrrational, y: QuadraticIrrational):
+    """(preperiod of x, period of x, preperiod of y, r) such that the
+    period of x rotated by r digits is the period of y, or None when the
+    continued fractions of x and y have no common tail."""
     if x.is_rational or y.is_rational:
         raise ValueError("inputs must be irrational")
     if x.d != y.d:
@@ -320,11 +300,31 @@ def equivalence_witness(x: QuadraticIrrational, y: QuadraticIrrational) -> IntMa
     pre2, per2 = cf_expansion(y)
     if len(per1) != len(per2):
         return None
-    for r, rot in _rotations(per1):
-        if rot == per2:
-            Gx = convergent_matrix(pre1 + per1[:r])
-            Gy = convergent_matrix(pre2)
-            M = Gy @ _inv2(Gx)
-            assert mobius_apply(M, x) == y
-            return M
+    for r in range(len(per1)):
+        if per1[r:] + per1[:r] == per2:
+            return pre1, per1, pre2, r
     return None
+
+
+def sturmian_equivalent(x: QuadraticIrrational, y: QuadraticIrrational) -> bool:
+    """Whether x and y have eventually coinciding continued fractions.
+
+    Equivalent to integral Moebius equivalence (determinant +-1), which
+    decides ordered-group isomorphism of Z + xZ and Z + yZ.
+    """
+    return _period_match(x, y) is not None
+
+
+def equivalence_witness(x: QuadraticIrrational, y: QuadraticIrrational) -> IntMatrix | None:
+    """A unimodular M with mobius_apply(M, x) == y, or None.
+
+    Built from the continued fractions: if the tail of x after m digits
+    equals the tail of y after n digits, then y = G_n(y) G_m(x)^{-1} x.
+    """
+    match = _period_match(x, y)
+    if match is None:
+        return None
+    pre1, per1, pre2, r = match
+    M = convergent_matrix(pre2) @ _inv2(convergent_matrix(pre1 + per1[:r]))
+    assert mobius_apply(M, x) == y
+    return M

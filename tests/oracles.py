@@ -110,3 +110,17 @@ def hereditary_saturated_sets_bruteforce(g) -> list[IdealDatum]:
                 out.append(IdealDatum(tuple(g.vertices[i] for i in combo),
                                       True, True, 0 < r < n))
     return out
+
+
+def squarefree_decompose_bruteforce(d: int) -> tuple[int, int]:
+    """(s, d0) with d = s*s * d0 and d0 squarefree, by full trial division."""
+    s, d0, n, p = 1, 1, d, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        d0 *= p ** (e % 2)
+        p += 1
+    return s, d0 * n

@@ -6,6 +6,7 @@ generated graph invariant, the Smith form and Ext contracts, and the
 hygiene of the isomorphism decision procedure.  Timing bounds are part
 of the requirements and are asserted, not logged.
 """
+import hashlib
 import json
 import random
 import time
@@ -226,9 +227,16 @@ def test_smith_form_and_ext_contracts():
     assert time.monotonic() - start < 10.0
 
 
+# SHA-256 of one "i<TAB>j<TAB>status<TAB>certificate or reason" line per
+# forward decision i < j on invariant_corpus(5, 100); a refactor that
+# changes any verdict, certificate or reason changes it.
+GOLDEN_CORPUS_DIGEST = "d18ddc20327315892b663723c4758cb8ceb1e999784a9467311d144e4b5d5025"
+
+
 def test_decision_procedure_hygiene():
     """Reflexive and symmetric on a random corpus, witnesses always
-    verify, and all-finite inputs never come back unknown."""
+    verify, all-finite inputs never come back unknown, and the forward
+    decisions match the golden digest."""
     corpus = invariant_corpus(5, 100)
     assert len(corpus) == 100
     finite = [all(inv.groups[n].is_finite() for n in inv.groups)
@@ -241,12 +249,15 @@ def test_decision_procedure_hygiene():
         assert verify_witness(inv, inv, v.witness)
 
     counts = {"isomorphic": 0, "not_isomorphic": 0, "unknown": 0}
+    digest = hashlib.sha256()
     for i in range(len(corpus)):
         for j in range(i + 1, len(corpus)):
             fwd = decide_iso_one_ideal(corpus[i], corpus[j])
             bwd = decide_iso_one_ideal(corpus[j], corpus[i])
             assert fwd.status == bwd.status
             counts[fwd.status] += 1
+            text = fwd.certificate or fwd.reason or ""
+            digest.update(f"{i}\t{j}\t{fwd.status}\t{text}\n".encode())
             if fwd.status == "isomorphic":
                 assert verify_witness(corpus[i], corpus[j], fwd.witness)
                 assert verify_witness(corpus[j], corpus[i], bwd.witness)
@@ -254,3 +265,4 @@ def test_decision_procedure_hygiene():
                 assert fwd.status != "unknown"
     assert counts["isomorphic"] > 0
     assert counts["not_isomorphic"] > 0
+    assert digest.hexdigest() == GOLDEN_CORPUS_DIGEST

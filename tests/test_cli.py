@@ -1,9 +1,11 @@
 """End-to-end tests of the command line interface."""
+import functools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -15,6 +17,7 @@ except ModuleNotFoundError:  # Python 3.10
 import pytest
 
 import kclass
+import kclass.surd
 from kclass.cli import main
 from kclass.graphalg import DirectedGraph, one_ideal_invariant
 from kclass.matrix import IntMatrix
@@ -216,6 +219,23 @@ def test_unsupported_inputs_exit_3(capsys, tmp_path):
     assert rc == 3
     rc, _, err = run_cli(capsys, "graph", "compare", f, f)
     assert rc == 3
+
+
+def test_undecided_radicand_exits_3(capsys):
+    # 1000250012300171 = 100003**2 * 100019: both literals are one number
+    start = time.monotonic()
+    rc, out, err = run_cli(capsys, "sturmian", "compare", "sqrt(1000250012300171)",
+                           "100003*sqrt(100019)")
+    assert rc == 3 and out == "" and "unsupported radicand" in err
+    assert time.monotonic() - start < 1.0
+
+
+def test_cf_budget_exhaustion_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(kclass.surd, "cf_expansion",
+                        functools.partial(kclass.surd.cf_expansion, max_steps=5))
+    rc, out, err = run_cli(capsys, "sturmian", "compare", "sqrt(999999937)",
+                           "2*sqrt(999999937)")
+    assert rc == 3 and out == "" and "max_steps=5" in err
 
 
 def test_missing_second_input_exits_2(capsys, tmp_path):

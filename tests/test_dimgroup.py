@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,22 +7,14 @@ from kclass.matrix import IntMatrix
 from kclass.surd import QuadraticIrrational
 from kclass.dimgroup import (
     DGElement,
-    NEGATIVE,
-    POSITIVE,
     ScaledInvariant,
     StationaryDimensionGroup,
     SubstitutionInvariant,
-    UNKNOWN_SIGN,
-    ZERO,
     check_subst_witness,
     compare_substitution_invariants,
     cone_stabilizer_generator,
-    dg_add,
-    dg_canonical,
     dg_equal,
     dg_is_zero,
-    dg_neg,
-    dg_positive,
     dg_shift,
     extension_scale,
     is_positive_slope_map,
@@ -77,12 +70,16 @@ def test_noninjective_matrix_kills_kernel_vectors():
     assert dg_equal(G, DGElement(0, (1, 0)), DGElement(0, (0, 1)))
 
 
+def slope_sign(G, v):
+    """Sign of v in the cone v0 + omega v1 > 0 of a primitive 2x2 group."""
+    return (perron_slope(G) * v[1] + v[0]).sign()
+
+
 def test_positivity_fibonacci_mixed_sign_vector():
     G = fib_group()
-    assert dg_positive(G, DGElement(0, (1, -1))) == POSITIVE
-    assert dg_positive(G, DGElement(0, (-1, 1))) == NEGATIVE
-    assert dg_positive(G, DGElement(0, (0, 0))) == ZERO
-    assert dg_positive(G, DGElement(2, (0, 0))) == ZERO
+    assert slope_sign(G, (1, -1)) == 1
+    assert slope_sign(G, (-1, 1)) == -1
+    assert slope_sign(G, (0, 0)) == 0
 
 
 def test_positivity_sign_flip():
@@ -90,10 +87,7 @@ def test_positivity_sign_flip():
     rng = random.Random(5)
     for _ in range(30):
         v = (rng.randrange(-6, 7), rng.randrange(-6, 7))
-        s = dg_positive(G, DGElement(0, v))
-        t = dg_positive(G, DGElement(0, tuple(-c for c in v)))
-        flip = {POSITIVE: NEGATIVE, NEGATIVE: POSITIVE, ZERO: ZERO}
-        assert t == flip[s]
+        assert slope_sign(G, tuple(-c for c in v)) == -slope_sign(G, v)
 
 
 def test_positives_closed_under_addition():
@@ -101,10 +95,10 @@ def test_positives_closed_under_addition():
     rng = random.Random(7)
     found = 0
     while found < 50:
-        x = DGElement(0, (rng.randrange(-9, 10), rng.randrange(-9, 10)))
-        y = DGElement(0, (rng.randrange(-9, 10), rng.randrange(-9, 10)))
-        if dg_positive(G, x) == POSITIVE and dg_positive(G, y) == POSITIVE:
-            assert dg_positive(G, dg_add(G, x, y)) == POSITIVE
+        x = (rng.randrange(-9, 10), rng.randrange(-9, 10))
+        y = (rng.randrange(-9, 10), rng.randrange(-9, 10))
+        if slope_sign(G, x) > 0 and slope_sign(G, y) > 0:
+            assert slope_sign(G, (x[0] + y[0], x[1] + y[1])) > 0
             found += 1
 
 
@@ -113,13 +107,13 @@ def iterate_sign(M: IntMatrix, v, steps: int = 400):
     v = list(v)
     for _ in range(steps):
         if any(v) and all(c >= 0 for c in v):
-            return POSITIVE
+            return 1
         if any(v) and all(c <= 0 for c in v):
-            return NEGATIVE
+            return -1
         if not any(v):
-            return ZERO
+            return 0
         v = list(M.apply(v))
-    return UNKNOWN_SIGN
+    return None
 
 
 def test_exact_engine_matches_long_iteration():
@@ -130,16 +124,16 @@ def test_exact_engine_matches_long_iteration():
         for _ in range(34):
             v = (rng.randrange(-20, 21), rng.randrange(-20, 21))
             expected = iterate_sign(M, v)
-            assert dg_positive(G, DGElement(0, v)) == expected
+            assert slope_sign(G, v) == expected
 
 
 def test_positivity_requires_primitive_matrix():
     G = StationaryDimensionGroup(IntMatrix([[1, 0], [0, 1]]))
     with pytest.raises(ValueError):
-        dg_positive(G, DGElement(0, (1, 0)))
+        perron_slope(G)
     G2 = StationaryDimensionGroup(IntMatrix([[0, 1], [1, 0]]))
     with pytest.raises(ValueError):
-        dg_positive(G2, DGElement(0, (1, 0)))
+        perron_slope(G2)
 
 
 def test_primitivity_detection():
@@ -149,10 +143,17 @@ def test_primitivity_detection():
     assert not StationaryDimensionGroup(IntMatrix([[1, -1], [1, 1]])).is_primitive()
 
 
-def test_rational_eigenvalue_falls_back_to_iteration():
+def test_rational_eigenvalue_is_outside_the_exact_engine():
     G = StationaryDimensionGroup(IntMatrix([[2, 1], [1, 2]]))
-    assert dg_positive(G, DGElement(0, (3, -1))) == POSITIVE
-    assert dg_positive(G, DGElement(0, (1, -1))) == UNKNOWN_SIGN
+    with pytest.raises(ValueError):
+        perron_slope(G)
+    # the substitution comparator reaches perron_slope only for primitive
+    # unimodular matrices, whose Perron root is an integer unit above 1
+    # when rational: impossible, so their slopes are always irrational
+    for a, b, c, d in itertools.product(range(13), repeat=4):
+        G = StationaryDimensionGroup(IntMatrix([[a, b], [c, d]]))
+        if abs(a * d - b * c) == 1 and G.is_primitive():
+            assert not perron_slope(G).is_rational
 
 
 def test_perron_slope_fibonacci_is_golden_conjugate():
@@ -167,23 +168,15 @@ def test_finitely_generated_trichotomy():
     assert StationaryDimensionGroup(IntMatrix([[1, 1], [1, 1]])).is_finitely_generated() is None
 
 
-def test_canonical_coordinates_pull_back_to_stage_zero():
-    G = fib_group()
-    x = DGElement(3, tuple(FIB.power(3).apply((2, -1))))
-    assert dg_canonical(G, x) == (2, -1)
-    with pytest.raises(ValueError):
-        dg_canonical(StationaryDimensionGroup(PERTURBED), DGElement(0, (1, 0)))
-
-
 def test_cone_stabilizer_fixes_positivity():
     G = fib_group()
     U = cone_stabilizer_generator(G)
     rng = random.Random(3)
     for _ in range(25):
         v = (rng.randrange(-8, 9), rng.randrange(-8, 9))
-        before = dg_positive(G, DGElement(0, v))
-        after = dg_positive(G, DGElement(0, U.apply(v)))
-        assert before == after
+        before = slope_sign(G, v)
+        after = slope_sign(G, U.apply(v))
+        assert before == after == iterate_sign(FIB, v)
 
 
 def test_cone_stabilizer_is_nontrivial_and_unimodular():

@@ -6,12 +6,7 @@ import pytest
 
 from kclass.autgroups import aut_generators
 from kclass.ext import (
-    ExtGroup,
-    apply_word,
-    aut_orbit_decide,
     ext1,
-    ext_pullback,
-    ext_pushforward,
     extension_class,
     orbit_search,
     pull_element,
@@ -138,18 +133,16 @@ def test_pull_through_projection_between_different_cyclics():
 def test_induced_hom_functoriality():
     A = cyclic(4)
     B = FgAbelianGroup(0, (2, 4))
-    assert ext_pushforward(A, GroupHom.identity(B)) == GroupHom.identity(ext1(A, B).group)
-    assert ext_pullback(GroupHom.identity(A), B) == GroupHom.identity(ext1(A, B).group)
-
+    E = ext1(A, B)
     b1 = hom(B, B, [[1, 0], [2, 1]])
     b2 = hom(B, B, [[1, 1], [0, 3]])
-    assert ext_pushforward(A, b2 @ b1) == ext_pushforward(A, b2) @ ext_pushforward(A, b1)
-
     a1 = hom(cyclic(2), cyclic(4), [[2]])
     a2 = hom(cyclic(4), cyclic(4), [[3]])
-    lhs = ext_pullback(a2 @ a1, B)
-    rhs = ext_pullback(a1, B) @ ext_pullback(a2, B)
-    assert lhs == rhs
+    for x in E.elements():
+        assert push_element(GroupHom.identity(B), x) == x
+        assert pull_element(GroupHom.identity(A), x) == x
+        assert push_element(b2 @ b1, x) == push_element(b2, push_element(b1, x))
+        assert pull_element(a2 @ a1, x) == pull_element(a1, pull_element(a2, x))
 
 
 def test_push_and_pull_commute():
@@ -166,41 +159,53 @@ def test_push_and_pull_commute():
         assert one == two
 
 
+def apply_moves(x, word, autA, autB):
+    """Apply an orbit_search word to x, first move first."""
+    for kind, idx in word:
+        x = pull_element(autA[idx], x) if kind == "pull" else push_element(autB[idx], x)
+    return x
+
+
 def test_orbit_decide_twisted_classes_equivalent():
     E = ext1(cyclic(3), Z)
     autA = aut_generators(cyclic(3))
     autB = aut_generators(Z)
     x1, x2 = E.element((1,)), E.element((2,))
-    assert aut_orbit_decide(E, x1, x2, autA, autB) is True
     found, word = orbit_search(E, x1, x2, autA, autB)
-    assert found is True
-    assert apply_word(E, x1, word, autA, autB) == x2
+    assert found is True and word
+    assert apply_moves(x1, word, autA, autB) == x2
+
+    A, B = FgAbelianGroup(0, (2, 4)), FgAbelianGroup(1, (4,))
+    E = ext1(A, B)
+    autA, autB = aut_generators(A), aut_generators(B)
+    x1 = E.element((1, 0, 1, 2))
+    kinds = set()
+    for x2 in E.elements():
+        found, word = orbit_search(E, x1, x2, autA, autB)
+        if found:
+            assert apply_moves(x1, word, autA, autB) == x2
+            kinds |= {kind for kind, _ in word}
+    assert kinds == {"pull", "push"}
 
 
 def test_orbit_decide_nonzero_vs_zero():
     E = ext1(cyclic(3), Z)
     autA = aut_generators(cyclic(3))
     autB = aut_generators(Z)
-    assert aut_orbit_decide(E, E.element((1,)), E.zero(), autA, autB) is False
+    assert orbit_search(E, E.element((1,)), E.zero(), autA, autB) == (False, None)
 
 
 def test_orbit_limit_gives_none():
     E = ext1(cyclic(7), Z)
     autA = aut_generators(cyclic(7))
-    assert aut_orbit_decide(E, E.element((1,)), E.element((5,)), autA, [], limit=1) is None
+    assert orbit_search(E, E.element((1,)), E.element((5,)), autA, [],
+                        limit=1) == (None, None)
 
 
 def test_orbit_rejects_bad_generators():
     E = ext1(cyclic(3), Z)
     squash = hom(cyclic(3), cyclic(3), [[0]])
     with pytest.raises(ValueError):
-        aut_orbit_decide(E, E.zero(), E.zero(), [squash], [])
-
-
-def test_canonical_coordinates_round_trip():
-    E = ext1(FgAbelianGroup(0, (2, 4)), FgAbelianGroup(0, (2, 4)))
-    for i in range(E.group.ngens):
-        el = E.element(E.canonical_generator_coords(i))
-        canon = E.to_canonical(el)
-        unit = tuple(1 if j == i else 0 for j in range(E.group.ngens))
-        assert canon == unit
+        orbit_search(E, E.zero(), E.zero(), [squash], [])
+    with pytest.raises(ValueError):
+        orbit_search(E, E.zero(), E.zero(), [], [hom(Z, Z, [[2]])])

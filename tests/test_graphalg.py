@@ -5,12 +5,13 @@ import pytest
 
 from oracles import hereditary_saturated_sets_bruteforce
 
+import kclass.graphalg
 import kclass.sampling
 
 from kclass.graphalg import (
     DirectedGraph, IdealDatum, evaluate_subset, hereditary_saturated_sets,
-    classify_simple, subgraph, quotient_graph, graph_ktheory,
-    one_ideal_invariant, compare_graphs,
+    classify_simple, subgraph, graph_ktheory,
+    one_ideal_invariant, one_ideal_parts, compare_graphs,
     NOT_SIMPLE, AF, PURELY_INFINITE,
 )
 from kclass.groups import FgAbelianGroup
@@ -123,7 +124,7 @@ def test_lattice_matches_bruteforce_on_sampled_graphs(monkeypatch):
         checked.append(g.n)
         return sets
 
-    monkeypatch.setattr(kclass.sampling, "hereditary_saturated_sets", checked_sets)
+    monkeypatch.setattr(kclass.graphalg, "hereditary_saturated_sets", checked_sets)
     rng = random.Random(5)
     for max_vertices in (6, 10):
         for _ in range(40):
@@ -154,8 +155,11 @@ def test_subgraph_and_quotient():
     g = DirectedGraph(["v", "w"], [[2, 1], [0, 3]])
     s = subgraph(g, ["w"])
     assert s.vertices == ["w"] and s.adjacency.to_lists() == [[3]]
-    q = quotient_graph(g, ["w"])
+    q = subgraph(g, ["v"])
     assert q.vertices == ["v"] and q.adjacency.to_lists() == [[2]]
+    hset, ideal, kind_b, quot, kind_a = one_ideal_parts(g)
+    assert hset == ("w",) and (kind_b, kind_a) == (PURELY_INFINITE, PURELY_INFINITE)
+    assert ideal.to_json() == s.to_json() and quot.to_json() == q.to_json()
 
 
 def test_one_ideal_invariant_worked_example():
@@ -240,6 +244,6 @@ def test_compare_graphs_permuted_copy():
 
 def test_relabeling_does_not_change_the_invariant():
     g = DirectedGraph(["v", "w"], [[2, 1], [0, 3]])
-    h = g.relabel({"v": "x", "w": "y"})
+    h = DirectedGraph(["x", "y"], g.adjacency)
     assert h.vertices == ["x", "y"]
     assert one_ideal_invariant(g) == one_ideal_invariant(h)

@@ -202,3 +202,22 @@ def test_solve_hom_equations_no_solution():
 def test_relation_matrix():
     R = relation_matrix(FgAbelianGroup(1, (2, 4)))
     assert R.to_lists() == [[0, 0], [2, 0], [0, 4]]
+
+
+def test_is_isomorphism_matches_kernel_and_cokernel():
+    rng = random.Random(23)
+    groups = [TRIVIAL, Z, FgAbelianGroup(2), Zmod(2), Zmod(4), Zmod(6),
+              Zmod(2, 4), FgAbelianGroup(1, (3,))]
+    seen = set()
+    for _ in range(600):
+        dom, cod = rng.choice(groups), rng.choice(groups)
+        rows = [[rng.randint(-3, 3) for _ in range(dom.ngens)]
+                for _ in range(cod.ngens)]
+        try:
+            h = GroupHom(dom, cod, IntMatrix(rows, cols=dom.ngens))
+        except ValueError:
+            continue
+        expected = kernel(h)[0].is_trivial() and cokernel(h)[0].is_trivial()
+        assert h.is_isomorphism() == expected
+        seen.add((dom == cod, expected))
+    assert seen == {(True, True), (True, False), (False, False)}

@@ -1,0 +1,54 @@
+"""Every public function and method in kclass is named outside its definition.
+
+A public name that nothing in ``src/kclass`` or ``bench/*.py`` mentions
+besides its own ``def`` line is code that only its unit tests reach:
+delete it, or list it in ALLOWED with the reason it stays.
+"""
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "kclass"
+
+ALLOWED = {
+    "aut_brute": "brute-force oracle for aut_generators",
+    "cf_value": "oracle: the quadratic irrational a continued fraction denotes",
+    "scaled_triple": "pinned by the acceptance tests",
+    "dg_is_zero": "pinned by the acceptance tests",
+    "dg_equal": "defines when two dimension-group elements are equal",
+    "dg_shift": "defines the identification of (k, v) with (k+1, A v)",
+    "group_from_matrix": "the group a relation matrix presents, for library callers",
+    "stationary_cone": "constructor of the stationary_dg cone, beside the other three",
+}
+ALLOWED_MODULES = {
+    "sampling.py": "seeded generators that the test suites draw from",
+}
+
+
+def public_definitions():
+    """(path, def node) for module functions and methods of module classes."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in members:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield path, fn
+
+
+def test_every_public_function_is_named_elsewhere():
+    lines = [(path, i, line)
+             for path in [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]
+             for i, line in enumerate(path.read_text().splitlines(), 1)]
+    defined = set()
+    unreached = []
+    for path, fn in public_definitions():
+        defined.add(fn.name)
+        if fn.name in ALLOWED or path.name in ALLOWED_MODULES:
+            continue
+        word = re.compile(rf"\b{fn.name}\b")
+        if not any(word.search(line) for p, i, line in lines
+                   if (p, i) != (path, fn.lineno)):
+            unreached.append(f"{path.name}: {fn.name}")
+    assert unreached == []
+    assert set(ALLOWED) <= defined

@@ -6,6 +6,7 @@ import pytest
 from kclass.matrix import IntMatrix
 from kclass.surd import (
     QuadraticIrrational,
+    _squarefree_decompose,
     cf_expansion,
     cf_value,
     convergent_matrix,
@@ -14,7 +15,7 @@ from kclass.surd import (
     parse_surd,
     sturmian_equivalent,
 )
-from oracles import mobius_equivalent_bruteforce
+from oracles import mobius_equivalent_bruteforce, squarefree_decompose_bruteforce
 
 
 def surd(a, b, c, d):
@@ -172,3 +173,27 @@ def test_agreement_with_bruteforce_oracle():
         claimed = sturmian_equivalent(x, y)
         witness = mobius_equivalent_bruteforce(x, y)
         assert claimed == (witness is not None), (str(x), str(y))
+
+
+def test_squarefree_part_matches_bruteforce_oracle():
+    for d in range(1, 10 ** 4 + 1):
+        assert _squarefree_decompose(d) == squarefree_decompose_bruteforce(d)
+    p, q = 100003, 100019   # the two smallest primes above the trial bound
+    assert _squarefree_decompose(p * q) == squarefree_decompose_bruteforce(p * q)
+    assert _squarefree_decompose(p * p) == (p, 1)
+    assert _squarefree_decompose(p * p * q * q) == (p * q, 1)
+    # p*p*q passes 10**15 with no prime factor up to the bound: taking it
+    # as squarefree would be wrong, so it is refused
+    assert squarefree_decompose_bruteforce(p * p * q) == (p, q)
+    with pytest.raises(ValueError, match="unsupported radicand"):
+        _squarefree_decompose(p * p * q)
+    with pytest.raises(ValueError, match="unsupported radicand"):
+        parse_surd(f"sqrt({p * p * q})")
+    assert parse_surd(f"{p}*sqrt({q})") == surd(0, p, 1, q)
+
+
+def test_cf_step_budget_raises_value_error():
+    root46 = surd(0, 1, 1, 46)   # preperiod [6], period of length 12
+    with pytest.raises(ValueError, match="max_steps=13"):
+        cf_expansion(root46, max_steps=13)
+    assert len(cf_expansion(root46, max_steps=14)[1]) == 12
