@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .matrix import IntMatrix
 from .groups import FgAbelianGroup, GroupHom

@@ -9,10 +9,11 @@ torsion generator of order e).  The free part of A contributes nothing.
 """
 from __future__ import annotations
 
+import itertools
 from math import gcd
 from typing import Callable, Sequence
 
-from .matrix import IntMatrix
+from .matrix import IntMatrix, solve
 from .groups import (
     FgAbelianGroup,
     GroupHom,
@@ -85,7 +86,6 @@ def _tuples_mod(moduli):
     if not moduli:
         yield ()
         return
-    import itertools
     yield from itertools.product(*(range(max(m, 1)) for m in moduli))
 
 
@@ -170,9 +170,8 @@ def extension_class(incl: GroupHom, proj: GroupHom) -> ExtElement:
 
 def _solve_mod(F: IntMatrix, rels: IntMatrix, target: Sequence[int]):
     """One x with F x == target modulo the column span of rels."""
-    from .matrix import solve as int_solve
     stacked = IntMatrix.hstack(F, rels)
-    sol = int_solve(stacked, target)
+    sol = solve(stacked, target)
     if sol is None:
         return None
     return list(sol[:F.cols])

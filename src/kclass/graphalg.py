@@ -119,6 +119,24 @@ def _saturate(regular: list[tuple[int, int]], mask: int) -> int:
     return mask
 
 
+def _reach(g: DirectedGraph) -> tuple[list[int], list[int]]:
+    """Successor bitmask and T(v) bitmask of every vertex v, where T(v)
+    is v together with every vertex a path from v reaches."""
+    succ = [sum(1 << j for j, m in enumerate(row) if m)
+            for row in g.adjacency.data]
+    reach = []
+    for v in range(g.n):
+        seen, frontier = 1 << v, 1 << v
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = succ[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier |= new
+        reach.append(seen)
+    return succ, reach
+
+
 def hereditary_saturated_sets(g: DirectedGraph) -> list[IdealDatum]:
     """Every hereditary saturated vertex set, the trivial ones included.
 
@@ -132,19 +150,9 @@ def hereditary_saturated_sets(g: DirectedGraph) -> list[IdealDatum]:
     if g.n > MAX_VERTICES:
         raise ValueError(f"graphs with more than {MAX_VERTICES} vertices "
                          "are not enumerated")
-    succ = [sum(1 << j for j, m in enumerate(row) if m)
-            for row in g.adjacency.data]
+    succ, reach = _reach(g)
     regular = [(i, s) for i, s in enumerate(succ) if s]
-    closures = set()
-    for v in range(g.n):
-        reach, frontier = 1 << v, 1 << v
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = succ[low.bit_length() - 1] & ~reach
-            reach |= new
-            frontier |= new
-        closures.add(_saturate(regular, reach))
+    closures = {_saturate(regular, t) for t in reach}
     lattice = {0}
     for c in closures:
         # a union of hereditary sets is hereditary: a join only saturates
@@ -161,47 +169,24 @@ def hereditary_saturated_sets(g: DirectedGraph) -> list[IdealDatum]:
     return out
 
 
-def _cycle_vertices(g: DirectedGraph) -> set:
-    """Indices of vertices lying on some directed cycle."""
-    reach = [[g.adjacency[i, j] > 0 for j in range(g.n)] for i in range(g.n)]
-    for k in range(g.n):
-        for i in range(g.n):
-            if reach[i][k]:
-                for j in range(g.n):
-                    if reach[k][j]:
-                        reach[i][j] = True
-    return {i for i in range(g.n) if reach[i][i]}
-
-
-def _has_exitless_cycle(g: DirectedGraph) -> bool:
-    # a cycle with no exit forces out-degree exactly one along it
-    succ = {}
-    for i in range(g.n):
-        if g.out_degree(i) == 1:
-            succ[i] = next(j for j in range(g.n) if g.adjacency[i, j] > 0)
-    for start in succ:
-        slow = start
-        seen = set()
-        while slow in succ and slow not in seen:
-            seen.add(slow)
-            slow = succ[slow]
-        if slow in seen:
-            return True
-    return False
-
-
 def classify_simple(g: DirectedGraph) -> str:
     """Simplicity type of the graph algebra.
 
     not_simple when a nontrivial hereditary saturated set exists or some
     cycle has no exit; otherwise af without cycles and purely_infinite
-    with them.
+    with them.  v lies on a cycle when a successor reaches it, and that
+    cycle has no exit when every vertex of T(v) emits exactly one edge.
     """
     if any(d.nontrivial for d in hereditary_saturated_sets(g)):
         return NOT_SIMPLE
-    if _has_exitless_cycle(g):
+    succ, reach = _reach(g)
+    on_cycle = [v for v in range(g.n)
+                if any(succ[v] >> w & 1 and reach[w] >> v & 1
+                       for w in range(g.n))]
+    emits_one = sum(1 << w for w in range(g.n) if g.out_degree(w) == 1)
+    if any(reach[v] & ~emits_one == 0 for v in on_cycle):
         return NOT_SIMPLE
-    return PURELY_INFINITE if _cycle_vertices(g) else AF
+    return PURELY_INFINITE if on_cycle else AF
 
 
 def subgraph(g: DirectedGraph, subset) -> DirectedGraph:
@@ -245,9 +230,10 @@ class _GraphK:
         if af:
             # path-count coordinates: K0 is free on the sinks
             sinks = [i for i in range(graph.n) if not graph.is_regular(i)]
-            order = _topological_order(graph)
+            # a successor reaches fewer vertices, so its counts come first
+            _, reach = _reach(graph)
             counts = {}
-            for v in reversed(order):
+            for v in sorted(range(graph.n), key=lambda v: reach[v].bit_count()):
                 if v in sinks:
                     vec = [0] * len(sinks)
                     vec[sinks.index(v)] = 1
@@ -294,24 +280,6 @@ def graph_ktheory(g: DirectedGraph) -> GraphKTheory:
     classes = GroupHom(free, k0, IntMatrix.from_columns(cols, rows=k0.ngens))
     unit = k0.reduce(classes.matrix.apply([1] * g.n)) if g.n else k0.zero()
     return GraphKTheory(k0, kt.k1, classes, unit)
-
-
-def _topological_order(g: DirectedGraph) -> list[int]:
-    indeg = [0] * g.n
-    for i in range(g.n):
-        for j in range(g.n):
-            if g.adjacency[i, j] > 0 and i != j:
-                indeg[j] += 1
-    order = [i for i in range(g.n) if indeg[i] == 0]
-    for v in order:
-        for j in range(g.n):
-            if g.adjacency[v, j] > 0 and v != j:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    order.append(j)
-    if len(order) != g.n:
-        raise ValueError("graph has a cycle, no topological order exists")
-    return order
 
 
 def one_ideal_parts(g: DirectedGraph) -> tuple:

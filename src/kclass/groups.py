@@ -16,14 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .matrix import (
-    IntMatrix,
-    column_space_basis,
-    preimage_lattice,
-    snf,
-    solve,
-    unimodular_inverse,
-)
+from .matrix import IntMatrix, preimage_lattice, snf, solve, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -236,14 +229,13 @@ class GroupHom:
 def kernel(f: GroupHom) -> tuple[FgAbelianGroup, GroupHom]:
     """Kernel subgroup with its inclusion into the domain."""
     G, H = f.domain, f.codomain
+    # relation columns are independent, so both lattices come as bases
     span = preimage_lattice(f.matrix, relation_matrix(H))
     B = IntMatrix.from_columns(span, rows=G.ngens)
-    basis = column_space_basis(B)
-    Bmat = IntMatrix.from_columns(basis, rows=G.ngens)
-    rels = preimage_lattice(Bmat, relation_matrix(G))
-    pres = Presentation(IntMatrix.from_columns(rels, rows=len(basis)))
+    rels = preimage_lattice(B, relation_matrix(G))
+    pres = Presentation(IntMatrix.from_columns(rels, rows=len(span)))
     K = pres.group
-    cols = [Bmat.apply(pres.lift(i)) for i in range(K.ngens)]
+    cols = [B.apply(pres.lift(i)) for i in range(K.ngens)]
     incl = GroupHom(K, G, IntMatrix.from_columns(cols, rows=G.ngens))
     return K, incl
 
@@ -263,21 +255,25 @@ def cokernel(f: GroupHom) -> tuple[FgAbelianGroup, GroupHom]:
 
 
 def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
-    """Whether image(f) equals kernel(g) inside f.codomain == g.domain."""
+    """Whether image(f) equals kernel(g) inside f.codomain == g.domain.
+
+    image(f) lies in kernel(g) exactly when g f = 0.  Then the lattice
+    [f | R] of image(f) lies in the lattice [f | R | kernel(g)], so Z^n
+    modulo the first maps onto Z^n modulo the second.  A surjection
+    between isomorphic finitely generated abelian groups is injective, so
+    the lattices are equal exactly when they have the same nonzero
+    invariant factors.
+    """
     if f.codomain != g.domain:
         raise ValueError("maps are not composable")
+    if not (g @ f).is_zero():
+        return False
     mid = f.codomain
-    rels = relation_matrix(mid)
-    im_lat = IntMatrix.hstack(f.matrix, rels)
+    im_lat = IntMatrix.hstack(f.matrix, relation_matrix(mid))
     ker_span = preimage_lattice(g.matrix, relation_matrix(g.codomain))
-    ker_lat = IntMatrix.from_columns(ker_span, rows=mid.ngens)
-    for j in range(im_lat.cols):
-        if solve(ker_lat, im_lat.column(j)) is None:
-            return False
-    for j in range(ker_lat.cols):
-        if solve(im_lat, ker_lat.column(j)) is None:
-            return False
-    return True
+    both = IntMatrix.hstack(im_lat, IntMatrix.from_columns(ker_span, rows=mid.ngens))
+    return ([d for d in snf(im_lat).diagonal() if d]
+            == [d for d in snf(both).diagonal() if d])
 
 
 def solve_hom_equations(

@@ -7,7 +7,6 @@ objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -337,26 +336,13 @@ def solve(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     return dec.V.apply(y)
 
 
-def column_space_basis(M: IntMatrix) -> list[tuple[int, ...]]:
-    """A basis of the lattice spanned by the columns of M."""
-    dec = snf(M)
-    uinv = unimodular_inverse(dec.U)
-    out = []
-    for j in range(min(M.rows, M.cols)):
-        d = dec.D[j, j]
-        if d:
-            col = uinv.column(j)
-            out.append(tuple(d * x for x in col))
-    return out
-
-
 def preimage_lattice(F: IntMatrix, R: IntMatrix) -> list[tuple[int, ...]]:
     """Spanning vectors of the lattice {v : F v lies in the column span of R}.
 
-    F and R must have the same number of rows.
+    F and R must have the same number of rows.  When the columns of R are
+    independent the vectors are a basis: they project a basis of the
+    kernel of [F | R], and a kernel vector (0, w) has R w = 0, so w = 0.
     """
     if F.rows != R.rows:
         raise ValueError("row counts differ")
-    stacked = IntMatrix.hstack(F, R)
-    span = [col[:F.cols] for col in kernel_basis(stacked)]
-    return span
+    return [col[:F.cols] for col in kernel_basis(IntMatrix.hstack(F, R))]

@@ -333,9 +333,9 @@ def _end_pair(inv1: SixTermInvariant, inv2: SixTermInvariant, node: str):
     G1, G2 = inv1.groups[node], inv2.groups[node]
     c1, c2 = inv1.cones[node], inv2.cones[node]
     if c1.tag != c2.tag:
-        if G1.is_trivial() and G2.is_trivial():
-            return GroupHom.identity(G1), ""
-        return None, ""
+        # decide_iso_one_ideal has already answered not_isomorphic for
+        # differing tags on a nontrivial group, and G1 == G2
+        return GroupHom.identity(G1), ""
     if c1.tag == STATIONARY_DG:
         try:
             dg1 = StationaryDimensionGroup(c1.matrix)

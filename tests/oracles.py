@@ -112,6 +112,93 @@ def hereditary_saturated_sets_bruteforce(g) -> list[IdealDatum]:
     return out
 
 
+def is_exact_pair_bruteforce(f, g) -> bool:
+    """Whether image(f) equals kernel(g), by listing every element of the
+    finite groups involved."""
+    image = {f(x) for x in f.domain.elements()}
+    zero = g.codomain.zero()
+    return image == {y for y in g.domain.elements() if g(y) == zero}
+
+
+def _cycle_vertices(g) -> set:
+    """Indices of vertices lying on some directed cycle."""
+    reach = [[g.adjacency[i, j] > 0 for j in range(g.n)] for i in range(g.n)]
+    for k in range(g.n):
+        for i in range(g.n):
+            if reach[i][k]:
+                for j in range(g.n):
+                    if reach[k][j]:
+                        reach[i][j] = True
+    return {i for i in range(g.n) if reach[i][i]}
+
+
+def _has_exitless_cycle(g) -> bool:
+    # a cycle with no exit forces out-degree exactly one along it
+    succ = {}
+    for i in range(g.n):
+        if g.out_degree(i) == 1:
+            succ[i] = next(j for j in range(g.n) if g.adjacency[i, j] > 0)
+    for start in succ:
+        slow = start
+        seen = set()
+        while slow in succ and slow not in seen:
+            seen.add(slow)
+            slow = succ[slow]
+        if slow in seen:
+            return True
+    return False
+
+
+def _topological_order(g) -> list[int]:
+    indeg = [0] * g.n
+    for i in range(g.n):
+        for j in range(g.n):
+            if g.adjacency[i, j] > 0 and i != j:
+                indeg[j] += 1
+    order = [i for i in range(g.n) if indeg[i] == 0]
+    for v in order:
+        for j in range(g.n):
+            if g.adjacency[v, j] > 0 and v != j:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    order.append(j)
+    if len(order) != g.n:
+        raise ValueError("graph has a cycle, no topological order exists")
+    return order
+
+
+def classify_simple_bruteforce(g) -> str:
+    """not_simple, af or purely_infinite from the subset lattice, a
+    Floyd-Warshall closure for cycles and a walk along the vertices of
+    out-degree one for cycles without exits."""
+    if any(d.nontrivial for d in hereditary_saturated_sets_bruteforce(g)):
+        return "not_simple"
+    if _has_exitless_cycle(g):
+        return "not_simple"
+    return "purely_infinite" if _cycle_vertices(g) else "af"
+
+
+def af_path_counts_bruteforce(g) -> list[list[int]]:
+    """Number of paths from each vertex to each sink of a graph without
+    cycles, one row per sink and one column per vertex, filled in
+    reverse topological order."""
+    sinks = [i for i in range(g.n) if not g.is_regular(i)]
+    counts = {}
+    for v in reversed(_topological_order(g)):
+        if v in sinks:
+            vec = [0] * len(sinks)
+            vec[sinks.index(v)] = 1
+            counts[v] = vec
+        else:
+            vec = [0] * len(sinks)
+            for w in range(g.n):
+                m = g.adjacency[v, w]
+                if m:
+                    vec = [a + m * b for a, b in zip(vec, counts[w])]
+            counts[v] = vec
+    return [[counts[v][s] for v in range(g.n)] for s in range(len(sinks))]
+
+
 def squarefree_decompose_bruteforce(d: int) -> tuple[int, int]:
     """(s, d0) with d = s*s * d0 and d0 squarefree, by full trial division."""
     s, d0, n, p = 1, 1, d, 2

@@ -12,8 +12,6 @@ import random
 import time
 from math import gcd
 
-import pytest
-
 from oracles import (cyclic_quotient_order, det_bareiss, minor_gcd,
                      mobius_equivalent_bruteforce)
 

@@ -12,7 +12,6 @@ from kclass.autgroups import (
     word_ball,
 )
 from kclass.groups import FgAbelianGroup, GroupHom
-from kclass.matrix import IntMatrix
 
 
 def closure_of_units(gens, d):

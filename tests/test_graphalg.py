@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from oracles import hereditary_saturated_sets_bruteforce
+from oracles import (af_path_counts_bruteforce, classify_simple_bruteforce,
+                     hereditary_saturated_sets_bruteforce)
 
 import kclass.graphalg
 import kclass.sampling
 
 from kclass.graphalg import (
-    DirectedGraph, IdealDatum, evaluate_subset, hereditary_saturated_sets,
+    DirectedGraph, evaluate_subset, hereditary_saturated_sets,
     classify_simple, subgraph, graph_ktheory,
     one_ideal_invariant, one_ideal_parts, compare_graphs,
     NOT_SIMPLE, AF, PURELY_INFINITE,
@@ -149,6 +150,37 @@ def test_classify_simple():
     assert classify_simple(DirectedGraph(["a", "b"], [[0, 1], [1, 0]])) == NOT_SIMPLE
     # strongly connected with parallel edges: purely infinite
     assert classify_simple(DirectedGraph(["a", "b"], [[0, 2], [1, 0]])) == PURELY_INFINITE
+
+
+def test_classify_and_af_counts_match_bruteforce_on_random_graphs():
+    # half the graphs keep only the edges that go up a random vertex
+    # ranking, so they have no cycles
+    rng = random.Random(2006)
+    seen = dict.fromkeys(("sink", "loop", "parallel", "edgeless", "acyclic",
+                          AF, PURELY_INFINITE, NOT_SIMPLE), 0)
+    for _ in range(700):
+        n = rng.randint(1, 8)
+        g = _random_graph(rng, n)
+        acyclic = rng.random() < 0.5
+        if acyclic:
+            rank = rng.sample(range(n), n)
+            g = DirectedGraph(g.vertices, [[m if rank[i] < rank[j] else 0
+                                            for j, m in enumerate(r)]
+                                           for i, r in enumerate(g.adjacency.data)])
+        kind = classify_simple(g)
+        assert kind == classify_simple_bruteforce(g)
+        rows = g.adjacency.data
+        if acyclic:
+            af = kclass.graphalg._GraphK(g, af=True)
+            coords = [af.project([int(v == w) for w in range(n)]) for v in range(n)]
+            assert [list(c) for c in zip(*coords)] == af_path_counts_bruteforce(g)
+        seen[kind] += 1
+        seen["acyclic"] += acyclic
+        seen["sink"] += any(not any(r) for r in rows)
+        seen["loop"] += any(r[i] for i, r in enumerate(rows))
+        seen["parallel"] += any(m > 1 for r in rows for m in r)
+        seen["edgeless"] += not any(map(any, rows))
+    assert min(seen.values()) >= 20
 
 
 def test_subgraph_and_quotient():

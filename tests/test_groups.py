@@ -1,8 +1,11 @@
 import random
+from math import gcd
 
 import pytest
 
-from kclass.matrix import IntMatrix, unimodular_inverse
+from oracles import is_exact_pair_bruteforce
+
+from kclass.matrix import IntMatrix
 from kclass.groups import (
     FgAbelianGroup,
     GroupHom,
@@ -221,3 +224,49 @@ def test_is_isomorphism_matches_kernel_and_cokernel():
         assert h.is_isomorphism() == expected
         seen.add((dom == cod, expected))
     assert seen == {(True, True), (True, False), (False, False)}
+
+
+FINITE = [TRIVIAL, Zmod(2), Zmod(3), Zmod(4), Zmod(5), Zmod(6), Zmod(8), Zmod(12),
+          Zmod(2, 2), Zmod(2, 4), Zmod(3, 3), Zmod(2, 6), Zmod(4, 4), Zmod(2, 8),
+          Zmod(3, 9), Zmod(2, 2, 2), Zmod(2, 2, 4), Zmod(4, 8), Zmod(2, 4, 8)]
+
+
+def random_finite_hom(rng, dom, cod):
+    """A random homomorphism between finite groups: a generator of order o
+    goes against a generator of order d to a multiple of d / gcd(d, o)."""
+    cols = [[d // gcd(d, o) * rng.randrange(gcd(d, o)) for d in cod.gen_orders]
+            for o in dom.gen_orders]
+    return GroupHom(dom, cod, IntMatrix.from_columns(cols, rows=cod.ngens))
+
+
+def test_exactness_and_kernel_match_bruteforce_oracle():
+    # pairs are random, or g kills image(f) by factoring through the
+    # cokernel of f, or f maps into the kernel of g
+    rng = random.Random(505)
+    seen = {(True, True): 0, (False, True): 0, (False, False): 0}
+    for _ in range(600):
+        A, H = rng.choice(FINITE), rng.choice(FINITE)
+        route = rng.randrange(3)
+        if route == 0:
+            f = random_finite_hom(rng, A, H)
+            g = random_finite_hom(rng, H, rng.choice(FINITE))
+        elif route == 1:
+            f = random_finite_hom(rng, A, H)
+            C, proj = cokernel(f)
+            g = random_finite_hom(rng, C, rng.choice([C, *FINITE])) @ proj
+        else:
+            g = random_finite_hom(rng, H, rng.choice(FINITE))
+            K, incl = kernel(g)
+            f = incl @ random_finite_hom(rng, rng.choice([K, *FINITE]), K)
+        exact = is_exact_pair_bruteforce(f, g)
+        assert is_exact_pair(f, g) == exact
+        seen[exact, (g @ f).is_zero()] += 1
+        for h in (f, g):
+            K, incl = kernel(h)
+            killed = {x for x in h.domain.elements() if h(x) == h.codomain.zero()}
+            image = {incl(x) for x in K.elements()}
+            assert len(image) == K.order() == len(killed)
+            assert image == killed
+    assert seen[True, True] >= 100
+    assert seen[False, True] + seen[False, False] >= 100
+    assert min(seen.values()) >= 50

@@ -1,8 +1,10 @@
-"""Every public function and method in kclass is named outside its definition.
+"""Every public function and method in kclass is named outside its definition,
+and every imported name is used.
 
 A public name that nothing in ``src/kclass`` or ``bench/*.py`` mentions
 besides its own ``def`` line is code that only its unit tests reach:
-delete it, or list it in ALLOWED with the reason it stays.
+delete it, or list it in ALLOWED with the reason it stays.  A name a
+module imports and never reads is deleted from the import.
 """
 import ast
 import re
@@ -52,3 +54,28 @@ def test_every_public_function_is_named_elsewhere():
             unreached.append(f"{path.name}: {fn.name}")
     assert unreached == []
     assert set(ALLOWED) <= defined
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads, apart from ``__future__``
+    features and the names it re-exports through ``__all__``."""
+    tree = ast.parse(path.read_text())
+    imported, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # ``import a.b`` binds ``a``
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [f"{path.relative_to(ROOT)}: {name}"
+              for path in sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+              for name in unused_imports(path)]
+    assert unused == []
