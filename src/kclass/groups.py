@@ -114,7 +114,7 @@ class Presentation:
         n, q = rel.rows, rel.cols
         dec = snf(rel)
         self._u = dec.U
-        self._uinv = unimodular_inverse(dec.U)
+        self._uinv = None  # built by lift, the only reader
         ds = [dec.D[j, j] if j < min(n, q) else 0 for j in range(n)]
         self._free_idx = [j for j, d in enumerate(ds) if d == 0]
         self._tor_idx = [j for j, d in enumerate(ds) if d >= 2]
@@ -131,6 +131,8 @@ class Presentation:
     def lift(self, i: int) -> tuple[int, ...]:
         """An ambient representative of canonical generator i."""
         idx = (self._free_idx + self._tor_idx)[i]
+        if self._uinv is None:
+            self._uinv = unimodular_inverse(self._u)
         return self._uinv.column(idx)
 
 

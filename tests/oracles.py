@@ -1,5 +1,6 @@
 """Independent brute-force oracles shared by the test modules."""
 import itertools
+from collections import defaultdict
 from math import gcd
 
 from kclass.graphalg import IdealDatum
@@ -211,3 +212,90 @@ def squarefree_decompose_bruteforce(d: int) -> tuple[int, int]:
         d0 *= p ** (e % 2)
         p += 1
     return s, d0 * n
+
+
+def _automorphism_tables(G) -> list[tuple[int, ...]]:
+    """Element tables of every automorphism of the finite group G.
+
+    A table lists the index of the image of each element of
+    ``G.elements()``.  Every choice of generator images that each
+    generator's order kills gives a homomorphism; the automorphisms are
+    those whose table is a bijection.
+    """
+    elems = list(G.elements())
+    index = {x: i for i, x in enumerate(elems)}
+    zero = G.zero()
+    out = []
+    for imgs in itertools.product(elems, repeat=G.ngens):
+        if any(G.reduce([d * c for c in g]) != zero
+               for d, g in zip(G.torsion, imgs)):
+            continue
+        table = tuple(index[G.reduce([sum(xi * g[j] for xi, g in zip(x, imgs))
+                                      for j in range(G.ngens)])]
+                      for x in elems)
+        if len(set(table)) == len(elems):
+            out.append(table)
+    return out
+
+
+def sixterm_iso_bruteforce(inv1, inv2) -> bool:
+    """Whether two six-term invariants whose six groups are finite are
+    isomorphic, by a search over the automorphisms at all six nodes.
+
+    Every map is held as its element table.  A witness is an automorphism
+    at each node (equal groups are required) making the six squares
+    commute; the middle maps eta0 and eta1 are searched like the others,
+    indexed by the two composites their squares fix.  On a finite group
+    every automorphism preserves the all_positive and unordered cones,
+    and differing cone tags at a nontrivial end admit no order
+    isomorphism.
+    """
+    if inv1.groups != inv2.groups:
+        return False
+    groups = inv1.groups
+    for node in ("K0B", "K0A"):
+        if (inv1.cones[node].tag != inv2.cones[node].tag
+                and not groups[node].is_trivial()):
+            return False
+    elems = {n: list(G.elements()) for n, G in groups.items()}
+    index = {n: {x: i for i, x in enumerate(es)} for n, es in elems.items()}
+
+    def tables(inv):
+        out = {}
+        for key, h in inv.maps.items():
+            src, dst = key.split("->")
+            out[key] = tuple(index[dst][h(x)] for x in elems[src])
+        return out
+
+    def after(f, g):
+        return tuple(f[i] for i in g)
+
+    m1, m2 = tables(inv1), tables(inv2)
+    auts = {n: _automorphism_tables(G) for n, G in groups.items()}
+    # eta0 . iota1 = iota2 . beta0 and pi2 . eta0 = alpha0 . pi1
+    iota0_by_pi0 = defaultdict(set)
+    for e in auts["K0E"]:
+        iota0_by_pi0[after(m2["K0E->K0A"], e)].add(after(e, m1["K0B->K0E"]))
+    # eta1 . iota1 = iota2 . beta1 and pi2 . eta1 = alpha1 . pi1
+    eta1_keys = {(after(e, m1["K1B->K1E"]), after(m2["K1E->K1A"], e))
+                 for e in auts["K1E"]}
+    beta0_by = defaultdict(list)
+    for b in auts["K0B"]:
+        beta0_by[after(m2["K0B->K0E"], b)].append(b)
+    # beta1 . m1 = m2 . alpha0 at K0A -> K1B
+    beta1_by = defaultdict(list)
+    for b in auts["K1B"]:
+        beta1_by[after(b, m1["K0A->K1B"])].append(b)
+    # m2 . alpha1 = beta0 . m1 at K1A -> K0B
+    alpha1_by = defaultdict(list)
+    for a in auts["K1A"]:
+        alpha1_by[after(m2["K1A->K0B"], a)].append(a)
+    for a0 in auts["K0A"]:
+        for left in iota0_by_pi0.get(after(a0, m1["K0E->K0A"]), ()):
+            for b0 in beta0_by.get(left, ()):
+                for b1 in beta1_by.get(after(m2["K0A->K1B"], a0), ()):
+                    for a1 in alpha1_by.get(after(b0, m1["K1A->K0B"]), ()):
+                        if (after(m2["K1B->K1E"], b1),
+                                after(a1, m1["K1E->K1A"])) in eta1_keys:
+                            return True
+    return False

@@ -1,5 +1,10 @@
 """Six-term invariants: validation, witnesses, and the decision procedure."""
+import itertools
+import random
+from collections import Counter
+
 import pytest
+from oracles import sixterm_iso_bruteforce
 
 from kclass.groups import FgAbelianGroup, GroupHom
 from kclass.matrix import IntMatrix
@@ -9,7 +14,8 @@ from kclass.sixterm import (
     all_positive_cone, standard_free_cone, stationary_cone, unordered_cone,
     NODES, MAP_KEYS,
 )
-from kclass.autgroups import subgroup_closure
+from kclass.autgroups import aut_generators, subgroup_closure
+from kclass.sampling import invariant_corpus
 
 Z = FgAbelianGroup(1, ())
 Z2 = FgAbelianGroup(0, (2,))
@@ -312,3 +318,97 @@ def test_decide_is_reflexive_on_mixed_examples(worked_trio):
         v = decide_iso_one_ideal(s, s)
         assert v.status == "isomorphic"
         assert verify_witness(s, s, v.witness)
+
+
+def free_end_hexagon(sign, cone_a=None, k1e=False):
+    """K0B = K0E = Z^2 over K0A = Z, with image(delta) = Z(1, sign) in
+    K0B, and K1A = Z (or K1A = Z^2 over K1E = Z when k1e is set)."""
+    Z2F = FgAbelianGroup(2, ())
+    k1a = Z2F if k1e else Z
+    groups = {"K0B": Z2F, "K0E": Z2F, "K0A": Z,
+              "K1A": k1a, "K1E": Z if k1e else TRIV, "K1B": TRIV}
+    delta = [[1, 0], [sign, 0]] if k1e else [[1], [sign]]
+    maps = {
+        "K0B->K0E": hom(Z2F, Z2F, [[1, -sign], [0, 0]]),
+        "K0E->K0A": hom(Z2F, Z, [[0, 1]]),
+        "K0A->K1B": hom(Z, TRIV),
+        "K1B->K1E": hom(TRIV, groups["K1E"]),
+        "K1E->K1A": hom(groups["K1E"], k1a, [[0], [1]] if k1e else None),
+        "K1A->K0B": hom(k1a, Z2F, delta),
+    }
+    cones = {"K0B": standard_free_cone(), "K0E": unordered_cone(),
+             "K0A": cone_a or standard_free_cone()}
+    return SixTermInvariant(groups, maps, cones)
+
+
+# By hand: the order automorphisms of (Z^2, coordinate cone) are the two
+# permutation matrices, and both fix (1, 1).  So when image(delta) is
+# Z(1, 1) in one invariant and Z(1, -1) in the other, the square
+# delta2 . alpha1 = beta0 . delta1 at K1A -> K0B fails for every beta0.
+def assert_proved_apart(s, t):
+    assert validate_sixterm(s) == [] and validate_sixterm(t) == []
+    for a, b in ((s, t), (t, s)):
+        v = decide_iso_one_ideal(a, b)
+        assert v.status == "not_isomorphic"
+        assert v.certificate.startswith("no automorphism pair at the ends")
+
+
+def test_infinite_eta0_corrections_do_not_block_a_proof():
+    # eta0's corrections are Hom(Z, Z); the five lemma makes them moot
+    assert_proved_apart(free_end_hexagon(1), free_end_hexagon(-1))
+
+
+def test_unsolvable_square_with_infinite_family_is_a_proof():
+    # alpha1's correction family is infinite, but its square has no solution
+    assert_proved_apart(free_end_hexagon(1, k1e=True),
+                        free_end_hexagon(-1, k1e=True))
+
+
+def test_unknown_names_the_sampled_node():
+    # Aut(Z) at an unordered K0A is sampled by a word ball, so the search
+    # proves nothing there and must say so
+    s = free_end_hexagon(1, cone_a=unordered_cone())
+    t = free_end_hexagon(-1, cone_a=unordered_cone())
+    for a, b in ((s, t), (t, s)):
+        v = decide_iso_one_ideal(a, b)
+        assert v.status == "unknown"
+        assert v.reason == "no witness among the sampled automorphisms at K0A"
+
+
+def _twisted(inv, rng):
+    """A copy of inv with every map conjugated by random automorphisms."""
+    phi = {}
+    for node in NODES:
+        G = inv.groups[node]
+        gens = aut_generators(G)
+        phi[node] = GroupHom.identity(G)
+        for _ in range(rng.randint(0, 3) if gens else 0):
+            phi[node] = rng.choice(gens) @ phi[node]
+    maps = {}
+    for key in MAP_KEYS:
+        src, dst = key.split("->")
+        maps[key] = phi[dst] @ inv.maps[key] @ phi[src].inverse()
+    return SixTermInvariant(dict(inv.groups), maps, dict(inv.cones))
+
+
+def test_decision_matches_bruteforce_oracle_on_finite_invariants():
+    rng = random.Random(8)
+    small = [inv for inv in invariant_corpus(11, 300)
+             if all(G.order() is not None and G.order() <= 72
+                    for G in inv.groups.values())]
+    pairs = [(inv, _twisted(inv, rng)) for inv in small]
+    for a, b in itertools.combinations(small, 2):
+        if a.groups == b.groups:
+            pairs.append((a, b))
+    counts = Counter()
+    for a, b in pairs:
+        v = decide_iso_one_ideal(a, b)
+        expected = "isomorphic" if sixterm_iso_bruteforce(a, b) else "not_isomorphic"
+        assert v.status == expected
+        if expected == "isomorphic":
+            assert verify_witness(a, b, v.witness)
+        k1_trivial = all(a.groups[n].is_trivial() for n in ("K1B", "K1E", "K1A"))
+        counts[v.status, k1_trivial] += 1
+    assert counts["isomorphic", False] + counts["isomorphic", True] >= 100
+    assert counts["not_isomorphic", False] + counts["not_isomorphic", True] >= 100
+    assert counts["isomorphic", True] >= 10 and counts["not_isomorphic", True] >= 10
