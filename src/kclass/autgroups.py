@@ -7,7 +7,6 @@ mixed maps sending a free generator into the torsion part.
 """
 from __future__ import annotations
 
-import itertools
 from math import gcd
 from typing import Sequence
 
@@ -174,26 +173,3 @@ def word_ball(gens: Sequence[GroupHom], radius: int, limit: int = 10 ** 6) -> li
         frontier = new
     return order
 
-
-def aut_brute(G: FgAbelianGroup) -> list[GroupHom]:
-    """Every automorphism of a small finite group, by exhaustion.
-
-    Test oracle only: enumerates all generator images, so the cost is
-    |G| ** (number of generators).
-    """
-    if G.free_rank != 0:
-        raise ValueError("brute enumeration needs a finite group")
-    n = G.ngens
-    if n == 0:
-        return [GroupHom.identity(G)]
-    ranges = [range(d) for d in G.torsion]
-    out = []
-    all_coords = list(itertools.product(*ranges))
-    for cols in itertools.product(all_coords, repeat=n):
-        try:
-            h = _hom_from_cols(G, cols)
-        except ValueError:
-            continue
-        if h.is_isomorphism():
-            out.append(h)
-    return out

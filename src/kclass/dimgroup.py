@@ -10,7 +10,6 @@ matrices through the left Perron eigenvector in its quadratic field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .matrix import IntMatrix, unimodular_inverse
 from .surd import (
@@ -34,8 +33,7 @@ class StationaryDimensionGroup:
             raise ValueError("stationary dimension group needs a square matrix")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "n", matrix.rows)
-        ordered = all(matrix[i, j] >= 0 for i in range(matrix.rows) for j in range(matrix.cols))
-        object.__setattr__(self, "ordered", ordered)
+        object.__setattr__(self, "ordered", matrix.is_nonnegative())
 
     def __setattr__(self, name, value):
         raise AttributeError("StationaryDimensionGroup is immutable")
@@ -70,48 +68,6 @@ class StationaryDimensionGroup:
         if d >= 2:
             return False
         return None
-
-
-@dataclass(frozen=True)
-class DGElement:
-    stage: int
-    vector: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.stage < 0:
-            raise ValueError("stage must be nonnegative")
-        object.__setattr__(self, "vector", tuple(self.vector))
-
-
-def _check_element(G: StationaryDimensionGroup, x: DGElement):
-    if len(x.vector) != G.n:
-        raise ValueError("vector length does not match the group")
-
-
-def dg_shift(G: StationaryDimensionGroup, x: DGElement, steps: int) -> DGElement:
-    _check_element(G, x)
-    v = x.vector
-    for _ in range(steps):
-        v = G.matrix.apply(v)
-    return DGElement(x.stage + steps, v)
-
-
-def _aligned(G, x, y):
-    m = max(x.stage, y.stage)
-    return dg_shift(G, x, m - x.stage).vector, dg_shift(G, y, m - y.stage).vector
-
-
-def dg_is_zero(G: StationaryDimensionGroup, x: DGElement) -> bool:
-    # (k, v) is zero iff some power kills v; kernels stabilize by step n
-    _check_element(G, x)
-    killed = G.matrix.power(G.n).apply(x.vector)
-    return all(c == 0 for c in killed)
-
-
-def dg_equal(G: StationaryDimensionGroup, x: DGElement, y: DGElement) -> bool:
-    vx, vy = _aligned(G, x, y)
-    diff = tuple(a - b for a, b in zip(vx, vy))
-    return dg_is_zero(G, DGElement(0, diff))
 
 
 def perron_slope(G: StationaryDimensionGroup) -> QuadraticIrrational:
@@ -203,7 +159,7 @@ class SubstitutionInvariant:
             raise ValueError("distinguished vector length differs from n")
         if A.rows != A.cols or A.rows < 1:
             raise ValueError("A must be square and nonempty")
-        if any(A[i, j] < 0 for i in range(A.rows) for j in range(A.cols)):
+        if not A.is_nonnegative():
             raise ValueError("A must be nonnegative")
         m = A.rows
         if A_tilde.rows != A_tilde.cols or A_tilde.rows != n + m:
@@ -251,39 +207,6 @@ class SubstitutionInvariant:
         if not isinstance(n, int) or not all(isinstance(x, int) for x in p):
             raise ValueError("n and p must be integers")
         return cls(n, p, A, At)
-
-
-@dataclass(frozen=True)
-class ScaledInvariant:
-    group: StationaryDimensionGroup
-    scale: tuple[DGElement, ...]
-
-
-def extension_scale(inv: SubstitutionInvariant) -> list[DGElement]:
-    """Classes of the distinguished basis vectors inside the big group.
-
-    These are the images under the stage-0 inclusion of Z^n into the
-    limit of A~; the delivered scale projects them onward to the small
-    group.
-    """
-    m = inv.alphabet_size
-    out = []
-    for i in range(inv.n):
-        vec = tuple(1 if j == i else 0 for j in range(inv.n)) + (0,) * m
-        out.append(DGElement(0, vec))
-    return out
-
-
-def scaled_triple(inv: SubstitutionInvariant) -> ScaledInvariant:
-    """The reduced invariant: ordered group of A plus the projected scale.
-
-    The projection drops the first n coordinates, so each scale entry is
-    the class of the zero vector whenever the block contract holds; the
-    multiset still carries its size.
-    """
-    big = extension_scale(inv)
-    scale = tuple(DGElement(0, q.vector[inv.n:]) for q in big)
-    return ScaledInvariant(StationaryDimensionGroup(inv.A), scale)
 
 
 def _matching_permutation(p1, p2) -> list[int] | None:
@@ -355,8 +278,7 @@ def check_subst_witness(i1: SubstitutionInvariant, i2: SubstitutionInvariant,
     G2 = StationaryDimensionGroup(i2.A)
     psi_ok = False
     if psi @ i1.A == i2.A @ psi:
-        inv = _safe_inverse(psi)
-        psi_ok = (inv is not None and _nonneg(psi) and _nonneg(inv))
+        psi_ok = psi.is_nonnegative() and unimodular_inverse(psi).is_nonnegative()
     if not psi_ok and m == 2:
         try:
             psi_ok = is_positive_slope_map(G1, G2, psi)
@@ -383,17 +305,6 @@ def check_subst_witness(i1: SubstitutionInvariant, i2: SubstitutionInvariant,
         if not both_unimodular and i2.A_tilde @ phi2 != phi2 @ i1.A_tilde:
             return False
     return True
-
-
-def _nonneg(M: IntMatrix) -> bool:
-    return all(M[i, j] >= 0 for i in range(M.rows) for j in range(M.cols))
-
-
-def _safe_inverse(M: IntMatrix) -> IntMatrix | None:
-    try:
-        return unimodular_inverse(M)
-    except ValueError:
-        return None
 
 
 def compare_substitution_invariants(i1: SubstitutionInvariant,

@@ -108,14 +108,6 @@ class ExtElement:
     def __hash__(self) -> int:
         return hash((self.group, self.coords))
 
-    def __add__(self, other: ExtElement) -> ExtElement:
-        if self.group != other.group:
-            raise ValueError("elements of different Ext groups")
-        return self.group.element(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> ExtElement:
-        return self.group.element(tuple(-a for a in self.coords))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 

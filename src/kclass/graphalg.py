@@ -43,8 +43,7 @@ class DirectedGraph:
             adjacency = IntMatrix(adjacency)
         if adjacency.rows != adjacency.cols or adjacency.rows != len(vertices):
             raise ValueError("adjacency must be square of size len(vertices)")
-        if any(adjacency[i, j] < 0 for i in range(adjacency.rows)
-               for j in range(adjacency.cols)):
+        if not adjacency.is_nonnegative():
             raise ValueError("edge counts must be nonnegative")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "adjacency", adjacency)

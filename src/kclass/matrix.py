@@ -94,13 +94,6 @@ class IntMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.data)
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> IntMatrix:
-        return IntMatrix([[self.data[i][j] for j in col_idx] for i in row_idx],
-                         cols=len(col_idx))
-
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.data]
 
@@ -160,6 +153,9 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.data for a in r)
+
+    def is_nonnegative(self) -> bool:
+        return all(a >= 0 for r in self.data for a in r)
 
     def _same_shape(self, other: IntMatrix) -> None:
         if self.rows != other.rows or self.cols != other.cols:

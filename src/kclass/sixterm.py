@@ -22,7 +22,7 @@ from .groups import (FgAbelianGroup, GroupHom, kernel, cokernel,
 from .ext import ext1, extension_class, pull_element, push_element, orbit_search
 from .autgroups import aut_generators, subgroup_closure, word_ball
 from .dimgroup import (StationaryDimensionGroup, is_positive_slope_map,
-                       order_iso_base, cone_stabilizer_generator)
+                       order_iso_base, cone_stabilizer_generator, perron_slope)
 from .verdict import IsoVerdict, isomorphic, not_isomorphic, unknown
 
 NODES = ("K0B", "K0E", "K0A", "K1A", "K1E", "K1B")
@@ -161,15 +161,6 @@ class SixTermInvariant:
     def __setattr__(self, name, value):
         raise AttributeError("SixTermInvariant is immutable")
 
-    def group(self, node: str) -> FgAbelianGroup:
-        return self.groups[node]
-
-    def map(self, key: str) -> GroupHom:
-        return self.maps[key]
-
-    def cone(self, node: str) -> ConeDescriptor:
-        return self.cones[node]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SixTermInvariant):
             return NotImplemented
@@ -247,6 +238,17 @@ class Witness:
         return cls(**homs)
 
 
+def _rank2(cone: ConeDescriptor) -> StationaryDimensionGroup:
+    """The group of a stationary cone within the exact rank-2 engine: a
+    primitive 2x2 matrix whose Perron slope is irrational."""
+    dg = StationaryDimensionGroup(cone.matrix)
+    try:
+        perron_slope(dg)
+    except ValueError:
+        raise UnsupportedConeError("stationary cone beyond the rank-2 engine") from None
+    return dg
+
+
 def _order_respecting(h: GroupHom, c1: ConeDescriptor, c2: ConeDescriptor) -> bool:
     """Whether the isomorphism h carries cone c1 onto cone c2."""
     if c1.tag != c2.tag:
@@ -255,14 +257,8 @@ def _order_respecting(h: GroupHom, c1: ConeDescriptor, c2: ConeDescriptor) -> bo
     if c1.tag in (UNORDERED, ALL_POSITIVE):
         return True
     if c1.tag == STANDARD_FREE:
-        inv = h.inverse()
-        return (all(x >= 0 for row in h.matrix.to_lists() for x in row)
-                and all(x >= 0 for row in inv.matrix.to_lists() for x in row))
-    dg1 = StationaryDimensionGroup(c1.matrix)
-    dg2 = StationaryDimensionGroup(c2.matrix)
-    if dg1.n != 2 or dg2.n != 2 or not dg1.is_primitive() or not dg2.is_primitive():
-        raise UnsupportedConeError("stationary cones beyond the rank-2 engine")
-    return is_positive_slope_map(dg1, dg2, h.matrix)
+        return h.matrix.is_nonnegative() and h.inverse().matrix.is_nonnegative()
+    return is_positive_slope_map(_rank2(c1), _rank2(c2), h.matrix)
 
 
 def verify_witness(inv1: SixTermInvariant, inv2: SixTermInvariant, w) -> bool:
@@ -315,41 +311,27 @@ def aut_plus_generators(group: FgAbelianGroup, cone: ConeDescriptor) -> list[Gro
             gens.append(GroupHom(group, group,
                                  IntMatrix.from_columns(cols, rows=n)))
         return gens
-    dg = StationaryDimensionGroup(cone.matrix)
-    if dg.n != 2 or not dg.is_primitive():
-        raise UnsupportedConeError("stationary cone beyond the rank-2 engine")
-    U = cone_stabilizer_generator(dg)
-    return [GroupHom(group, group, U)]
+    return [GroupHom(group, group, cone_stabilizer_generator(_rank2(cone)))]
 
 
 def _end_pair(inv1: SixTermInvariant, inv2: SixTermInvariant, node: str):
-    """Compatibility of the cones at an end node.
-
-    Returns (base, reason).  base is an order isomorphism
-    (group1, cone1) -> (group2, cone2) through which all others factor,
-    None means provably no order isomorphism exists; a nonempty reason
-    means the pair is out of scope.
-    """
+    """An order isomorphism (group1, cone1) -> (group2, cone2) at an end
+    node through which all others factor, or None when provably none
+    exists."""
     G1, G2 = inv1.groups[node], inv2.groups[node]
     c1, c2 = inv1.cones[node], inv2.cones[node]
-    if c1.tag != c2.tag:
+    if c1.tag != STATIONARY_DG or c2.tag != STATIONARY_DG:
+        # Equal canonical groups with coordinate cones: identity works.
         # decide_iso_one_ideal has already answered not_isomorphic for
-        # differing tags on a nontrivial group, and G1 == G2
-        return GroupHom.identity(G1), ""
-    if c1.tag == STATIONARY_DG:
-        try:
-            dg1 = StationaryDimensionGroup(c1.matrix)
-            dg2 = StationaryDimensionGroup(c2.matrix)
-            if dg1.n != 2 or dg2.n != 2:
-                return None, "stationary cone beyond the rank-2 engine"
-            base = order_iso_base(dg1, dg2)
-        except ValueError:
-            return None, "stationary cone beyond the rank-2 engine"
-        if base is None:
-            return None, ""
-        return GroupHom(G1, G2, base), ""
-    # Equal canonical groups with a coordinate cone: identity works.
-    return GroupHom.identity(G1), ""
+        # differing tags on a nontrivial group.
+        return GroupHom.identity(G1)
+    dg1, dg2 = _rank2(c1), _rank2(c2)
+    try:
+        base = order_iso_base(dg1, dg2)
+    except ValueError:
+        # the continued fraction of a slope outran its step budget
+        raise UnsupportedConeError("stationary cone beyond the rank-2 engine") from None
+    return None if base is None else GroupHom(G1, G2, base)
 
 
 def _map_shape(h: GroupHom) -> tuple:
@@ -434,11 +416,8 @@ def _ext_route(inv1: SixTermInvariant, inv2: SixTermInvariant,
     x2 = extension_class(iota2, pi2)
     # transport the second class into the frame of the first invariant
     y2 = push_element(base_b.inverse(), pull_element(base_a, x2))
-    try:
-        gens_a = aut_plus_generators(A, inv1.cones["K0A"])
-        gens_b = aut_plus_generators(B, inv1.cones["K0B"])
-    except UnsupportedConeError as e:
-        return unknown(str(e))
+    gens_a = aut_plus_generators(A, inv1.cones["K0A"])
+    gens_b = aut_plus_generators(B, inv1.cones["K0B"])
     found, word = orbit_search(E, x1, y2, gens_a, gens_b, limit=orbit_limit)
     if found is None:
         return unknown("extension class orbit exceeded the search limit")
@@ -480,13 +459,23 @@ def decide_iso_one_ideal(inv1: SixTermInvariant, inv2: SixTermInvariant,
     The verdict is Isomorphic with a verified witness, NotIsomorphic
     with a human-readable certificate, or Unknown when an exact search
     is out of reach.  When all six groups are finite the search space
-    is finite and fully enumerated, so Unknown never occurs.
+    is finite and fully enumerated, so Unknown never occurs.  A cone
+    beyond the exact engines ends as Unknown with the engine's reason.
     """
     bad1 = validate_sixterm(inv1)
     bad2 = validate_sixterm(inv2)
     if bad1 or bad2:
         raise ValueError("invalid invariant: " + "; ".join(bad1 + bad2))
+    try:
+        return _decide(inv1, inv2, pair_budget, orbit_limit)
+    except UnsupportedConeError as e:
+        return unknown(str(e))
 
+
+def _decide(inv1: SixTermInvariant, inv2: SixTermInvariant,
+            pair_budget: int, orbit_limit: int) -> IsoVerdict:
+    """The decision for two valid invariants; raises UnsupportedConeError
+    for a cone beyond the exact engines."""
     for node in NODES:
         if inv1.groups[node] != inv2.groups[node]:
             return not_isomorphic(
@@ -498,10 +487,8 @@ def decide_iso_one_ideal(inv1: SixTermInvariant, inv2: SixTermInvariant,
                 f"cone types at {node} differ: {c1.tag} vs {c2.tag}")
     bases = {}
     for node in END_NODES:
-        base, reason = _end_pair(inv1, inv2, node)
+        base = _end_pair(inv1, inv2, node)
         if base is None:
-            if reason:
-                return unknown(reason)
             return not_isomorphic(
                 f"no order isomorphism exists between the cones at {node}")
         bases[node] = base
@@ -517,10 +504,7 @@ def decide_iso_one_ideal(inv1: SixTermInvariant, inv2: SixTermInvariant,
 
     k1_trivial = all(inv1.groups[n].is_trivial() for n in ("K1B", "K1E", "K1A"))
     if k1_trivial:
-        try:
-            verdict = _ext_route(inv1, inv2, bases["K0B"], bases["K0A"], orbit_limit)
-        except UnsupportedConeError as e:
-            return unknown(str(e))
+        verdict = _ext_route(inv1, inv2, bases["K0B"], bases["K0A"], orbit_limit)
         if verdict is not None:
             return verdict
 
@@ -538,15 +522,12 @@ def _general_search(inv1: SixTermInvariant, inv2: SixTermInvariant,
     all_finite = all(g1[n].is_finite() for n in NODES)
     budget = None if all_finite else pair_budget
 
-    try:
-        pool_b, complete_b = _iso_pool(g1["K0B"], inv1.cones["K0B"],
-                                       g2["K0B"], inv2.cones["K0B"],
-                                       bases["K0B"], 10 ** 5)
-        pool_a, complete_a = _iso_pool(g1["K0A"], inv1.cones["K0A"],
-                                       g2["K0A"], inv2.cones["K0A"],
-                                       bases["K0A"], 10 ** 5)
-    except UnsupportedConeError as e:
-        return unknown(str(e))
+    pool_b, complete_b = _iso_pool(g1["K0B"], inv1.cones["K0B"],
+                                   g2["K0B"], inv2.cones["K0B"],
+                                   bases["K0B"], 10 ** 5)
+    pool_a, complete_a = _iso_pool(g1["K0A"], inv1.cones["K0A"],
+                                   g2["K0A"], inv2.cones["K0A"],
+                                   bases["K0A"], 10 ** 5)
     if pool_b is None or pool_a is None:
         return unknown("automorphism enumeration exceeded its limit")
 

@@ -276,18 +276,6 @@ def _inv2(M: IntMatrix) -> IntMatrix:
                       [-det * M[1, 0], det * M[0, 0]]])
 
 
-def cf_value(preperiod, period) -> QuadraticIrrational:
-    """The quadratic irrational with the given continued fraction."""
-    if not period:
-        raise ValueError("period must be nonempty")
-    G = convergent_matrix(period)
-    a, b, c, dd = G[0, 0], G[0, 1], G[1, 0], G[1, 1]
-    # purely periodic tail y satisfies c y^2 + (dd - a) y - b = 0
-    disc = (a - dd) * (a - dd) + 4 * b * c
-    y = QuadraticIrrational(a - dd, 1, 2 * c, disc)
-    return mobius_apply(convergent_matrix(preperiod), y)
-
-
 def _period_match(x: QuadraticIrrational, y: QuadraticIrrational):
     """(preperiod of x, period of x, preperiod of y, r) such that the
     period of x rotated by r digits is the period of y, or None when the

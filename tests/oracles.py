@@ -4,8 +4,9 @@ from collections import defaultdict
 from math import gcd
 
 from kclass.graphalg import IdealDatum
+from kclass.groups import GroupHom
 from kclass.matrix import IntMatrix
-from kclass.surd import QuadraticIrrational, mobius_apply
+from kclass.surd import QuadraticIrrational, convergent_matrix, mobius_apply
 
 
 def mobius_equivalent_bruteforce(x: QuadraticIrrational, y: QuadraticIrrational,
@@ -45,6 +46,18 @@ def mobius_equivalent_bruteforce(x: QuadraticIrrational, y: QuadraticIrrational,
             if mobius_apply(M, x) == y:
                 return M
     return None
+
+
+def cf_value(preperiod, period) -> QuadraticIrrational:
+    """The quadratic irrational with the given continued fraction."""
+    if not period:
+        raise ValueError("period must be nonempty")
+    G = convergent_matrix(period)
+    a, b, c, dd = G[0, 0], G[0, 1], G[1, 0], G[1, 1]
+    # purely periodic tail y satisfies c y^2 + (dd - a) y - b = 0
+    disc = (a - dd) * (a - dd) + 4 * b * c
+    y = QuadraticIrrational(a - dd, 1, 2 * c, disc)
+    return mobius_apply(convergent_matrix(preperiod), y)
 
 
 def det_bareiss(rows: list[list[int]]) -> int:
@@ -212,6 +225,30 @@ def squarefree_decompose_bruteforce(d: int) -> tuple[int, int]:
         d0 *= p ** (e % 2)
         p += 1
     return s, d0 * n
+
+
+def aut_brute(G) -> list[GroupHom]:
+    """Every automorphism of a small finite group, by exhaustion.
+
+    Enumerates all generator images, so the cost is
+    |G| ** (number of generators).
+    """
+    if G.free_rank != 0:
+        raise ValueError("brute enumeration needs a finite group")
+    n = G.ngens
+    if n == 0:
+        return [GroupHom.identity(G)]
+    ranges = [range(d) for d in G.torsion]
+    out = []
+    all_coords = list(itertools.product(*ranges))
+    for cols in itertools.product(all_coords, repeat=n):
+        try:
+            h = GroupHom(G, G, IntMatrix.from_columns(cols, rows=n))
+        except ValueError:
+            continue
+        if h.is_isomorphism():
+            out.append(h)
+    return out
 
 
 def _automorphism_tables(G) -> list[tuple[int, ...]]:

@@ -5,13 +5,13 @@ from math import gcd
 import pytest
 
 from kclass.autgroups import (
-    aut_brute,
     aut_generators,
     subgroup_closure,
     unit_group_generators,
     word_ball,
 )
 from kclass.groups import FgAbelianGroup, GroupHom
+from oracles import aut_brute
 
 
 def closure_of_units(gens, d):

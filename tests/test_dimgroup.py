@@ -6,21 +6,14 @@ import pytest
 from kclass.matrix import IntMatrix
 from kclass.surd import QuadraticIrrational
 from kclass.dimgroup import (
-    DGElement,
-    ScaledInvariant,
     StationaryDimensionGroup,
     SubstitutionInvariant,
     check_subst_witness,
     compare_substitution_invariants,
     cone_stabilizer_generator,
-    dg_equal,
-    dg_is_zero,
-    dg_shift,
-    extension_scale,
     is_positive_slope_map,
     order_iso_base,
     perron_slope,
-    scaled_triple,
 )
 
 FIB = IntMatrix([[1, 1], [1, 0]])
@@ -30,44 +23,6 @@ PERTURBED = IntMatrix([[5, 3], [3, 3]])
 
 def fib_group():
     return StationaryDimensionGroup(FIB)
-
-
-def test_defining_relation():
-    G = fib_group()
-    x = DGElement(0, (2, 3))
-    assert dg_equal(G, x, dg_shift(G, x, 1))
-    assert dg_equal(G, x, dg_shift(G, x, 4))
-    assert dg_equal(G, DGElement(0, (0, 0)), DGElement(5, (0, 0)))
-
-
-def test_unimodular_matrix_separates_basis_vectors():
-    G = fib_group()
-    assert not dg_equal(G, DGElement(0, (1, 0)), DGElement(0, (0, 1)))
-
-
-def test_equality_is_an_equivalence_relation():
-    rng = random.Random(11)
-    for M in (FIB, FIB4):
-        G = StationaryDimensionGroup(M)
-        pts = [DGElement(rng.randrange(3), (rng.randrange(-4, 5), rng.randrange(-4, 5)))
-               for _ in range(12)]
-        for x in pts:
-            assert dg_equal(G, x, x)
-        for x in pts:
-            for y in pts:
-                assert dg_equal(G, x, y) == dg_equal(G, y, x)
-        for x in pts:
-            for y in pts:
-                for z in pts:
-                    if dg_equal(G, x, y) and dg_equal(G, y, z):
-                        assert dg_equal(G, x, z)
-
-
-def test_noninjective_matrix_kills_kernel_vectors():
-    G = StationaryDimensionGroup(IntMatrix([[1, 1], [1, 1]]))
-    assert dg_is_zero(G, DGElement(0, (1, -1)))
-    assert not dg_is_zero(G, DGElement(0, (1, 0)))
-    assert dg_equal(G, DGElement(0, (1, 0)), DGElement(0, (0, 1)))
 
 
 def slope_sign(G, v):
@@ -264,33 +219,6 @@ def test_substitution_invariant_json_round_trip():
     assert again == inv
     with pytest.raises(ValueError):
         SubstitutionInvariant.from_json({"n": 1, "p": [1], "A": [[1]]})
-
-
-def test_scaled_triple_reduces_to_zero_classes():
-    inv = example_invariant([[1, 1]], FIB4)
-    red = scaled_triple(inv)
-    assert isinstance(red, ScaledInvariant)
-    assert red.group.matrix == FIB4
-    assert len(red.scale) == 1
-    assert all(dg_is_zero(red.group, q) for q in red.scale)
-
-
-def test_extension_scale_classes_live_upstairs_and_are_nonzero():
-    inv = example_invariant([[1, 1]], FIB4)
-    big = StationaryDimensionGroup(inv.A_tilde)
-    classes = extension_scale(inv)
-    assert len(classes) == 1
-    assert not dg_is_zero(big, classes[0])
-    assert classes[0].vector == (1, 0, 0)
-
-
-def test_scale_multiset_ignores_basis_order():
-    inv1 = example_invariant([[1, 0], [0, 1]], FIB4, n=2, p=(2, 3))
-    inv2 = example_invariant([[0, 1], [1, 0]], FIB4, n=2, p=(3, 2))
-    s1 = scaled_triple(inv1)
-    s2 = scaled_triple(inv2)
-    assert len(s1.scale) == len(s2.scale) == 2
-    assert all(dg_is_zero(s1.group, q) for q in s1.scale + s2.scale)
 
 
 def test_compare_reflexive_with_checked_witness():

@@ -17,7 +17,7 @@ def minor_gcd(M, k):
     g = 0
     for ri in combinations(range(M.rows), k):
         for ci in combinations(range(M.cols), k):
-            g = gcd(g, M.submatrix(ri, ci).det())
+            g = gcd(g, IntMatrix([[M[i, j] for j in ci] for i in ri]).det())
     return g
 
 

@@ -1,4 +1,5 @@
 """Six-term invariants: validation, witnesses, and the decision procedure."""
+import functools
 import itertools
 import random
 from collections import Counter
@@ -6,6 +7,7 @@ from collections import Counter
 import pytest
 from oracles import sixterm_iso_bruteforce
 
+import kclass.surd
 from kclass.groups import FgAbelianGroup, GroupHom
 from kclass.matrix import IntMatrix
 from kclass.sixterm import (
@@ -254,16 +256,17 @@ def test_sign_twist_on_infinite_k1_row():
 
 
 def stationary_end_hexagon(cone_mat):
-    G2 = FgAbelianGroup(2, ())
-    groups = {"K0B": G2, "K0E": G2, "K0A": TRIV,
+    n = cone_mat.rows
+    Zn = FgAbelianGroup(n, ())
+    groups = {"K0B": Zn, "K0E": Zn, "K0A": TRIV,
               "K1A": TRIV, "K1E": TRIV, "K1B": TRIV}
     maps = {
-        "K0B->K0E": GroupHom(G2, G2, IntMatrix.identity(2)),
-        "K0E->K0A": hom(G2, TRIV),
+        "K0B->K0E": GroupHom(Zn, Zn, IntMatrix.identity(n)),
+        "K0E->K0A": hom(Zn, TRIV),
         "K0A->K1B": hom(TRIV, TRIV),
         "K1B->K1E": hom(TRIV, TRIV),
         "K1E->K1A": hom(TRIV, TRIV),
-        "K1A->K0B": hom(TRIV, G2),
+        "K1A->K0B": hom(TRIV, Zn),
     }
     cones = {"K0B": stationary_cone(cone_mat), "K0E": unordered_cone(),
              "K0A": all_positive_cone()}
@@ -284,6 +287,32 @@ def test_stationary_ends_distinct_slope_class():
     v = decide_iso_one_ideal(s, t)
     assert v.status == "not_isomorphic"
     assert "K0B" in v.certificate
+
+
+def test_cones_beyond_the_rank2_engine_are_unsupported_everywhere():
+    """Primitive matrices with a rational Perron eigenvalue (4 and 2) and
+    a 3x3 matrix: no witness check, generator list or decision claims them."""
+    for rows in ([[2, 2], [1, 3]], [[1, 1], [1, 1]], [[1, 1, 1], [1, 1, 1], [1, 1, 1]]):
+        s = stationary_end_hexagon(IntMatrix(rows))
+        ident = Witness(*(GroupHom.identity(s.groups[n])
+                          for n in ("K0B", "K0E", "K0A", "K1B", "K1E", "K1A")))
+        assert not verify_witness(s, s, ident)
+        with pytest.raises(UnsupportedConeError):
+            aut_plus_generators(s.groups["K0B"], s.cones["K0B"])
+        v = decide_iso_one_ideal(s, s)
+        assert v.status == "unknown"
+        assert v.reason == "stationary cone beyond the rank-2 engine"
+
+
+def test_slope_past_its_cf_budget_is_unknown(monkeypatch):
+    """The slope of [[1,1],[46,1]] is 1/sqrt(46), whose continued fraction
+    has period 12: past a 5-digit budget the decision is unknown."""
+    monkeypatch.setattr(kclass.surd, "cf_expansion",
+                        functools.partial(kclass.surd.cf_expansion, max_steps=5))
+    s = stationary_end_hexagon(IntMatrix([[1, 1], [46, 1]]))
+    v = decide_iso_one_ideal(s, s)
+    assert v.status == "unknown"
+    assert v.reason == "stationary cone beyond the rank-2 engine"
 
 
 def test_cone_tag_mismatch_on_nontrivial_end():

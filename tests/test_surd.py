@@ -8,14 +8,13 @@ from kclass.surd import (
     QuadraticIrrational,
     _squarefree_decompose,
     cf_expansion,
-    cf_value,
     convergent_matrix,
     equivalence_witness,
     mobius_apply,
     parse_surd,
     sturmian_equivalent,
 )
-from oracles import mobius_equivalent_bruteforce, squarefree_decompose_bruteforce
+from oracles import cf_value, mobius_equivalent_bruteforce, squarefree_decompose_bruteforce
 
 
 def surd(a, b, c, d):
