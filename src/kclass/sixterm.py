@@ -42,6 +42,15 @@ class UnsupportedConeError(Exception):
     """Raised when no exact engine handles the given cone descriptor."""
 
 
+class NotExactError(ValueError):
+    """Raised for a cycle that is not exact; ``failures`` holds one
+    message per failing node."""
+
+    def __init__(self, failures: list[str]):
+        super().__init__("; ".join(failures))
+        self.failures = failures
+
+
 class ConeDescriptor:
     """Positivity data attached to a K0 node.
 
@@ -135,7 +144,11 @@ def _group_from_json(data: dict) -> FgAbelianGroup:
 
 
 class SixTermInvariant:
-    """The exact six-term cycle with cones on its K0 nodes."""
+    """The exact six-term cycle with cones on its K0 nodes.
+
+    Exactness is checked once, here: a cycle that is not exact raises
+    NotExactError, so every instance is a valid invariant.
+    """
 
     __slots__ = ("groups", "maps", "cones")
 
@@ -157,6 +170,9 @@ class SixTermInvariant:
         object.__setattr__(self, "groups", {n: groups[n] for n in NODES})
         object.__setattr__(self, "maps", {k: maps[k] for k in MAP_KEYS})
         object.__setattr__(self, "cones", {n: cones[n] for n in CONE_NODES})
+        failures = validate_sixterm(self)
+        if failures:
+            raise NotExactError(failures)
 
     def __setattr__(self, name, value):
         raise AttributeError("SixTermInvariant is immutable")
@@ -462,10 +478,6 @@ def decide_iso_one_ideal(inv1: SixTermInvariant, inv2: SixTermInvariant,
     is finite and fully enumerated, so Unknown never occurs.  A cone
     beyond the exact engines ends as Unknown with the engine's reason.
     """
-    bad1 = validate_sixterm(inv1)
-    bad2 = validate_sixterm(inv2)
-    if bad1 or bad2:
-        raise ValueError("invalid invariant: " + "; ".join(bad1 + bad2))
     try:
         return _decide(inv1, inv2, pair_budget, orbit_limit)
     except UnsupportedConeError as e:
@@ -474,7 +486,7 @@ def decide_iso_one_ideal(inv1: SixTermInvariant, inv2: SixTermInvariant,
 
 def _decide(inv1: SixTermInvariant, inv2: SixTermInvariant,
             pair_budget: int, orbit_limit: int) -> IsoVerdict:
-    """The decision for two valid invariants; raises UnsupportedConeError
+    """The decision for two invariants; raises UnsupportedConeError
     for a cone beyond the exact engines."""
     for node in NODES:
         if inv1.groups[node] != inv2.groups[node]:

@@ -17,6 +17,7 @@ except ModuleNotFoundError:  # Python 3.10
 import pytest
 
 import kclass
+import kclass.cli
 import kclass.surd
 from kclass.cli import main
 from kclass.graphalg import DirectedGraph, one_ideal_invariant
@@ -184,6 +185,46 @@ def test_batch_results_follow_manifest_order(capsys, tmp_path):
     assert [r["verdict"] for r in json.loads(out)["results"]] == ["isomorphic"]
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["sixterm", "graph"])
+def test_batch_loads_each_distinct_input_once(capsys, tmp_path, monkeypatch, kind):
+    names = []
+    for k in (1, 2, 3):
+        g = DirectedGraph(["v", "w"], IntMatrix([[4, k], [0, 0]]))
+        data = one_ideal_invariant(g).to_json() if kind == "sixterm" else g.to_json()
+        dump(tmp_path / f"in{k}.json", data)
+        names.append(f"in{k}.json")
+    # in1.json is named five times, once by its absolute path
+    pairs = [[names[0], names[1]], [names[0], names[0]], [names[2], names[0]],
+             [names[1], names[2]], [str(tmp_path / names[0]), names[1]]]
+    single = []
+    for x, y in pairs:
+        rc, out, _ = run_cli(capsys, kind, "compare", str(tmp_path / x), str(tmp_path / y))
+        assert rc == 0
+        single.append(json.loads(out))
+    if kind == "sixterm":
+        calls = count_calls(monkeypatch, SixTermInvariant, "from_json")
+    else:
+        calls = count_calls(monkeypatch, kclass.cli, "one_ideal_invariant")
+    manifest = dump(tmp_path / "man.json", pairs)
+    rc, out, _ = run_cli(capsys, kind, "compare", "--batch", manifest)
+    assert rc == 0
+    assert len(calls) == 3
+    assert json.loads(out)["results"] == single
+
+
 def test_sturmian_batch_takes_literals(capsys, tmp_path):
     manifest = dump(tmp_path / "man.json",
                     [[GOLDEN_A, GOLDEN_B], ["sqrt(2)", "sqrt(3)"]])
@@ -207,6 +248,20 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert rc == 2
     rc, _, err = run_cli(capsys, "subst", "compare", "--batch", wrong_shape)
     assert rc == 2 and "manifest" in err
+    # a cycle that is not exact is malformed input, like any other
+    # refusal of the six-term constructor
+    g = DirectedGraph(["v", "w"], IntMatrix([[4, 1], [0, 0]]))
+    data = one_ideal_invariant(g).to_json()
+    good = dump(tmp_path / "good.json", data)
+    data["maps"]["K0B->K0E"] = [[5]]
+    broken = dump(tmp_path / "broken.json", data)
+    expected = f"error: bad six-term invariant in {broken}: not exact at K0E\n"
+    rc, out, err = run_cli(capsys, "sixterm", "compare", good, broken)
+    assert (rc, out, err) == (2, "", expected)
+    manifest = dump(tmp_path / "man.json", [["good.json", "good.json"],
+                                            ["broken.json", "good.json"]])
+    rc, out, err = run_cli(capsys, "sixterm", "compare", "--batch", manifest)
+    assert (rc, out, err) == (2, "", expected)
 
 
 def test_unsupported_inputs_exit_3(capsys, tmp_path):

@@ -12,12 +12,12 @@ import kclass.sampling
 from kclass.graphalg import (
     DirectedGraph, evaluate_subset, hereditary_saturated_sets,
     classify_simple, subgraph, graph_ktheory,
-    one_ideal_invariant, one_ideal_parts, compare_graphs,
+    one_ideal_invariant, one_ideal_parts,
     NOT_SIMPLE, AF, PURELY_INFINITE,
 )
 from kclass.groups import FgAbelianGroup
 from kclass.matrix import IntMatrix
-from kclass.sixterm import validate_sixterm, verify_witness
+from kclass.sixterm import decide_iso_one_ideal, validate_sixterm, verify_witness
 
 
 def test_graph_validation():
@@ -235,6 +235,12 @@ def test_one_ideal_invariant_nonzero_k1():
     assert inv.groups["K1B"].is_trivial()
     assert not inv.maps["K1A->K0B"].is_zero()
     assert validate_sixterm(inv) == []
+
+
+def compare_graphs(g1, g2):
+    """Stable isomorphism of two one-ideal graph algebras, decided on
+    their six-term invariants."""
+    return decide_iso_one_ideal(one_ideal_invariant(g1), one_ideal_invariant(g2))
 
 
 def test_compare_graphs_reflexive():

@@ -97,16 +97,16 @@ def test_worked_trio_witness_by_hand(worked_trio):
 
 
 def test_validation_catches_broken_exactness():
-    bad = cyclic_extension(Z, [[2]], [[1]])
-    problems = validate_sixterm(bad)
-    assert problems and any("K0E" in p for p in problems)
+    with pytest.raises(ValueError, match="^not exact at K0E$") as exc:
+        cyclic_extension(Z, [[2]], [[1]])
+    assert exc.value.failures == ["not exact at K0E"]
 
 
 def test_decide_rejects_invalid_input():
-    bad = cyclic_extension(Z, [[2]], [[1]])
-    good = cyclic_extension(Z, [[3]], [[1]])
-    with pytest.raises(ValueError):
-        decide_iso_one_ideal(bad, good)
+    # a cycle that is not exact is no invariant, so it never reaches the
+    # decision
+    with pytest.raises(ValueError, match="not exact"):
+        cyclic_extension(Z, [[2]], [[1]])
 
 
 def test_all_trivial_hexagon():
@@ -327,16 +327,21 @@ def test_cone_tag_mismatch_on_nontrivial_end():
 
 
 def test_group_mismatch_certificate(worked_trio):
-    s1, _, _ = worked_trio
+    s1, _, s3 = worked_trio
     other = cyclic_extension(Z, [[3]], [[1]])
     groups = dict(other.groups)
     groups["K1B"] = Z2
     maps = dict(other.maps)
     maps["K0A->K1B"] = hom(Z3, Z2)
     maps["K1B->K1E"] = hom(Z2, TRIV)
-    t = SixTermInvariant(groups, maps, dict(other.cones))
     # the altered hexagon is no longer exact at K1B
-    assert validate_sixterm(t)
+    with pytest.raises(ValueError, match="not exact at K1B"):
+        SixTermInvariant(groups, maps, dict(other.cones))
+    # s1 and s3 are exact and differ only in the group at K0E
+    assert [n for n in NODES if s1.groups[n] != s3.groups[n]] == ["K0E"]
+    v = decide_iso_one_ideal(s1, s3)
+    assert v.status == "not_isomorphic"
+    assert v.certificate == f"groups at K0E differ: {Z} vs {Z_X_Z3}"
 
 
 def test_decide_is_reflexive_on_mixed_examples(worked_trio):
