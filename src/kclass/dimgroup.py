@@ -14,7 +14,6 @@ import itertools
 from .matrix import IntMatrix, unimodular_inverse
 from .surd import (
     QuadraticIrrational,
-    _inv2,
     cf_expansion,
     convergent_matrix,
     equivalence_witness,
@@ -107,17 +106,21 @@ def is_positive_slope_map(G1: StationaryDimensionGroup, G2: StationaryDimensionG
     return u.sign() > 0 and v == u * w1
 
 
+def _slope_map(W: IntMatrix, w: QuadraticIrrational) -> IntMatrix:
+    """H = W transposed about its antidiagonal, signed so (1, w) H = lam (1, W(w)), lam > 0."""
+    H = IntMatrix([[W[1, 1], W[0, 1]], [W[1, 0], W[0, 0]]])
+    if (w * H[1, 0] + H[0, 0]).sign() < 0:
+        H = -H
+    return H
+
+
 def order_iso_base(G1: StationaryDimensionGroup, G2: StationaryDimensionGroup) -> IntMatrix | None:
     """One order isomorphism (Z^2, cone of G1) -> (Z^2, cone of G2), or None."""
     w1, w2 = perron_slope(G1), perron_slope(G2)
-    if w1.d != w2.d:
-        return None
     W = equivalence_witness(w2, w1)
     if W is None:
         return None
-    H = IntMatrix([[W[1, 1], W[0, 1]], [W[1, 0], W[0, 0]]])
-    if (w2 * H[1, 0] + H[0, 0]).sign() < 0:
-        H = -H
+    H = _slope_map(W, w2)
     assert is_positive_slope_map(G1, G2, H)
     return H
 
@@ -132,11 +135,9 @@ def cone_stabilizer_generator(G: StationaryDimensionGroup) -> IntMatrix:
     w = perron_slope(G)
     pre, per = cf_expansion(w)
     C = convergent_matrix(pre)
-    W = C @ convergent_matrix(per) @ _inv2(C)
+    W = C @ convergent_matrix(per) @ unimodular_inverse(C)
     assert mobius_apply(W, w) == w
-    U = IntMatrix([[W[1, 1], W[0, 1]], [W[1, 0], W[0, 0]]])
-    if (w * U[1, 0] + U[0, 0]).sign() < 0:
-        U = -U
+    U = _slope_map(W, w)
     assert is_positive_slope_map(G, G, U)
     return U
 
@@ -307,6 +308,15 @@ def check_subst_witness(i1: SubstitutionInvariant, i2: SubstitutionInvariant,
     return True
 
 
+def _checked_match(i1: SubstitutionInvariant, i2: SubstitutionInvariant,
+                   sigma: list[int], psi: IntMatrix) -> V.IsoVerdict:
+    """isomorphic with the witness of (sigma, psi) if check_subst_witness accepts it."""
+    w = _subst_witness(i1, i2, sigma, psi)
+    if check_subst_witness(i1, i2, w):
+        return V.isomorphic(w)
+    return V.unknown("the built witness failed check_subst_witness")
+
+
 def compare_substitution_invariants(i1: SubstitutionInvariant,
                                     i2: SubstitutionInvariant) -> V.IsoVerdict:
     """Decide equivalence of two substitution invariants.
@@ -317,14 +327,13 @@ def compare_substitution_invariants(i1: SubstitutionInvariant,
     matrices the exact Perron-slope decision.  Unknown is returned when
     no exact engine applies.  The vanishing lower-left block makes every
     projected scale class zero, so the distinguished vectors carry the
-    whole scale constraint.
+    whole scale constraint.  An isomorphic verdict carries a witness
+    that check_subst_witness has accepted.
     """
     if i1.n != i2.n:
         return V.not_isomorphic("numbers of distinguished generators differ")
     if i1 == i2:
-        n, m = i1.n, i1.alphabet_size
-        sigma = list(range(n))
-        return V.isomorphic(_subst_witness(i1, i2, sigma, IntMatrix.identity(m)))
+        return _checked_match(i1, i2, list(range(i1.n)), IntMatrix.identity(i1.alphabet_size))
     sigma = _matching_permutation(i1.p, i2.p)
     if sigma is None:
         return V.not_isomorphic("distinguished vectors do not match under any permutation")
@@ -335,7 +344,7 @@ def compare_substitution_invariants(i1: SubstitutionInvariant,
         for perm in itertools.permutations(range(m1)):
             P = _permutation_matrix(list(perm))
             if P @ i1.A == i2.A @ P:
-                return V.isomorphic(_subst_witness(i1, i2, sigma, P))
+                return _checked_match(i1, i2, sigma, P)
     det1, det2 = G1.determinant(), G2.determinant()
     if det1 != 0 and det2 != 0 and m1 != m2:
         # nonzero determinant pins the torsion-free rank at the matrix size
@@ -352,5 +361,5 @@ def compare_substitution_invariants(i1: SubstitutionInvariant,
         psi = order_iso_base(G1, G2)
         if psi is None:
             return V.not_isomorphic("Perron slope classes are inequivalent")
-        return V.isomorphic(_subst_witness(i1, i2, sigma, psi))
+        return _checked_match(i1, i2, sigma, psi)
     return V.unknown("beyond the exact rank-2 engine")

@@ -24,6 +24,7 @@ PURELY_INFINITE = "purely_infinite"
 UNSUPPORTED = "unsupported"
 
 MAX_VERTICES = 20
+MAX_IDEALS = 2 ** 16
 
 
 class DirectedGraph:
@@ -155,6 +156,8 @@ def hereditary_saturated_sets(g: DirectedGraph) -> list[IdealDatum]:
     for c in closures:
         # a union of hereditary sets is hereditary: a join only saturates
         lattice |= {_saturate(regular, h | c) for h in lattice if c & ~h}
+        if len(lattice) > MAX_IDEALS:
+            raise ValueError(f"the ideal lattice has more than MAX_IDEALS={MAX_IDEALS} sets")
     indices = sorted((tuple(i for i in range(g.n) if h >> i & 1)
                       for h in lattice), key=lambda t: (len(t), t))
     out = []

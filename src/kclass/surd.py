@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from math import gcd, isqrt
 
-from .matrix import IntMatrix
+from .matrix import IntMatrix, unimodular_inverse
 
 
 _TRIAL_BOUND = 10 ** 5
@@ -128,18 +128,6 @@ class QuadraticIrrational:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QuadraticIrrational(-self.a, -self.b, self.c, self.d)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -168,15 +156,6 @@ class QuadraticIrrational:
         if self.a <= 0:
             return -1
         return 1 if self.a * self.a > self.b * self.b * self.d else -1
-
-    def floor(self) -> int:
-        if self.b == 0:
-            return self.a // self.c
-        s = isqrt(self.b * self.b * self.d)
-        # b*sqrt(d) lies strictly between s and s+1 (resp. -s-1 and -s),
-        # and the open unit interval contains no integer
-        num = self.a + s if self.b > 0 else self.a - s - 1
-        return num // self.c
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -236,24 +215,29 @@ def mobius_apply(M: IntMatrix, x: QuadraticIrrational) -> QuadraticIrrational:
 def cf_expansion(x: QuadraticIrrational, max_steps: int = 10 ** 4) -> tuple[list[int], list[int]]:
     """Exact continued fraction (preperiod, minimal period).
 
-    Iterates x -> 1/(x - floor(x)) with exact surd states; the first
-    repeated state closes the minimal period.  Raises ValueError naming
-    ``max_steps`` when no state repeats within that many digits.
+    Writes x = (P + sqrt(D))/Q with Q | D - P*P and steps P <- qQ - P,
+    Q <- (D - P*P)/Q for each digit q on integers.  D is fixed, so the
+    first repeated (P, Q) closes the minimal period.  Raises ValueError
+    naming ``max_steps`` when no state repeats within that many digits.
     """
     if x.is_rational:
         raise ValueError("continued fraction of a rational: not supported here")
-    seen: dict[tuple[int, int, int, int], int] = {}
+    s = 1 if x.b > 0 else -1
+    P, Q, D = s * x.a, s * x.c, x.b * x.b * x.d
+    if (D - P * P) % Q:
+        P, Q, D = P * abs(Q), Q * abs(Q), D * Q * Q
+    r = isqrt(D)
+    seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
-    cur = x
     for k in range(max_steps):
-        key = cur.key()
-        if key in seen:
-            j = seen[key]
+        j = seen.setdefault((P, Q), k)
+        if j != k:
             return digits[:j], digits[j:]
-        seen[key] = k
-        q = cur.floor()
+        # r < sqrt(D) < r + 1: no integer lies between (P+r)/Q and (P+r+1)/Q
+        q = (P + r) // Q if Q > 0 else (P + r + 1) // Q
         digits.append(q)
-        cur = (cur - q).reciprocal()
+        P = q * Q - P
+        Q = (D - P * P) // Q
     raise ValueError(f"continued fraction did not close within max_steps={max_steps}")
 
 
@@ -266,14 +250,6 @@ def convergent_matrix(digits) -> IntMatrix:
     for q in digits:
         M = M @ digit_matrix(q)
     return M
-
-
-def _inv2(M: IntMatrix) -> IntMatrix:
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return IntMatrix([[det * M[1, 1], -det * M[0, 1]],
-                      [-det * M[1, 0], det * M[0, 0]]])
 
 
 def _period_match(x: QuadraticIrrational, y: QuadraticIrrational):
@@ -313,6 +289,6 @@ def equivalence_witness(x: QuadraticIrrational, y: QuadraticIrrational) -> IntMa
     if match is None:
         return None
     pre1, per1, pre2, r = match
-    M = convergent_matrix(pre2) @ _inv2(convergent_matrix(pre1 + per1[:r]))
+    M = convergent_matrix(pre2) @ unimodular_inverse(convergent_matrix(pre1 + per1[:r]))
     assert mobius_apply(M, x) == y
     return M

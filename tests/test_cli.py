@@ -286,11 +286,28 @@ def test_undecided_radicand_exits_3(capsys):
 
 
 def test_cf_budget_exhaustion_exits_3(capsys, monkeypatch):
+    # the period of sqrt(999999937) is 25,817 digits: the default budget
+    # runs out, and on integer states it does so quickly
+    start = time.monotonic()
+    rc, out, err = run_cli(capsys, "sturmian", "compare", "sqrt(999999937)",
+                           "1+1*sqrt(999999937)")
+    assert rc == 3 and out == "" and "max_steps=10000" in err
+    assert time.monotonic() - start < 2.0
     monkeypatch.setattr(kclass.surd, "cf_expansion",
                         functools.partial(kclass.surd.cf_expansion, max_steps=5))
     rc, out, err = run_cli(capsys, "sturmian", "compare", "sqrt(999999937)",
                            "2*sqrt(999999937)")
     assert rc == 3 and out == "" and "max_steps=5" in err
+
+
+def test_ideal_lattice_budget_exits_3(capsys, tmp_path):
+    n = 17   # edgeless: all 2**17 vertex sets are hereditary and saturated
+    f, _ = graph_file(tmp_path, "edgeless.json", [f"v{i}" for i in range(n)],
+                      [[0] * n for _ in range(n)])
+    start = time.monotonic()
+    rc, out, err = run_cli(capsys, "graph", "ideals", f)
+    assert rc == 3 and out == "" and "MAX_IDEALS=65536" in err
+    assert time.monotonic() - start < 2.0
 
 
 def test_missing_second_input_exits_2(capsys, tmp_path):

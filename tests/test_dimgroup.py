@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import kclass.dimgroup
 from kclass.matrix import IntMatrix
 from kclass.surd import QuadraticIrrational
 from kclass.dimgroup import (
@@ -348,3 +349,21 @@ def test_witness_checker_rejects_tampering():
     w2 = dict(verdict.witness)
     w2["p_permutation"] = [1]
     assert not check_subst_witness(inv1, inv2, w2)
+
+
+def test_compare_returns_only_checked_witnesses(monkeypatch):
+    build = kclass.dimgroup._subst_witness
+
+    def tampered(*args):
+        w = build(*args)
+        w["phi3"] = [[1, 0], [0, -1]]
+        return w
+    monkeypatch.setattr(kclass.dimgroup, "_subst_witness", tampered)
+    inv1 = example_invariant([[1, 1]], FIB)
+    inv2 = example_invariant([[1, 1]], FIB4)
+    swapped = example_invariant([[1, 1]], IntMatrix([[0, 1], [1, 1]]))
+    # equal inputs, a letter permutation and the Perron-slope decision
+    for a, b in [(inv1, inv1), (inv1, swapped), (inv1, inv2)]:
+        verdict = compare_substitution_invariants(a, b)
+        assert verdict.status == "unknown"
+        assert "check_subst_witness" in verdict.reason

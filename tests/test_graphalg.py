@@ -285,3 +285,62 @@ def test_relabeling_does_not_change_the_invariant():
     h = DirectedGraph(["x", "y"], g.adjacency)
     assert h.vertices == ["x", "y"]
     assert one_ideal_invariant(g) == one_ideal_invariant(h)
+
+
+def out_split(g: DirectedGraph, v: int, parts: int, rng: random.Random) -> DirectedGraph:
+    """Out-split vertex v: its emitted edges go, in ``parts`` nonempty
+    groups, to the copies of v, and every edge into v is copied to each
+    copy (Bates and Pask 2004)."""
+    edges = [w for w in range(g.n) for _ in range(g.adjacency[v, w])]
+    rng.shuffle(edges)
+    groups = [[0] * g.n for _ in range(parts)]
+    for k, w in enumerate(edges):
+        groups[k if k < parts else rng.randrange(parts)][w] += 1
+    keep = [i for i in range(g.n) if i != v]
+
+    def row(counts):
+        return [counts[j] for j in keep] + [counts[v]] * parts
+    adj = [row(g.adjacency.row(i)) for i in keep] + [row(c) for c in groups]
+    names = [g.vertices[i] for i in keep] + [f"{g.vertices[v]}.{i}" for i in range(parts)]
+    return DirectedGraph(names, IntMatrix(adj))
+
+
+def transpose(g: DirectedGraph) -> DirectedGraph:
+    return DirectedGraph(g.vertices, [list(g.adjacency.column(j)) for j in range(g.n)])
+
+
+def random_move(g: DirectedGraph, rng: random.Random) -> DirectedGraph:
+    """Out-split a vertex emitting >= 2 edges, or in-split (an out-split
+    of the transpose) a vertex receiving >= 2 edges that also emits one:
+    in-splitting at a sink changes the ideal lattice."""
+    emits = [sum(g.adjacency.row(i)) for i in range(g.n)]
+    receives = [sum(g.adjacency.column(i)) for i in range(g.n)]
+    moves = [(False, v, emits[v]) for v in range(g.n) if emits[v] >= 2]
+    moves += [(True, v, receives[v]) for v in range(g.n) if receives[v] >= 2 and emits[v]]
+    if not moves:
+        return g
+    inward, v, edges = rng.choice(moves)
+    parts = rng.randint(2, min(3, edges))
+    if inward:
+        return transpose(out_split(transpose(g), v, parts, rng))
+    return out_split(g, v, parts, rng)
+
+
+def test_graph_moves_keep_the_invariant():
+    # out-splitting gives an isomorphic graph algebra and in-splitting a
+    # Morita equivalent one, so graph compare must never tell them apart
+    rng = random.Random(2004)
+    unknown = []
+    for k in range(60):
+        g = kclass.sampling.random_one_ideal_graph(rng, max_vertices=5 if k % 2 else 7)
+        h = g
+        for _ in range(rng.randint(1, 3)):
+            h = random_move(h, rng)
+        inv1, inv2 = one_ideal_invariant(g), one_ideal_invariant(h)
+        v = decide_iso_one_ideal(inv1, inv2)
+        assert v.status != "not_isomorphic", (g, h, v.certificate)
+        if v.status == "isomorphic":
+            assert verify_witness(inv1, inv2, v.witness), (g, h)
+        else:
+            unknown.append((g, h, v.reason))
+    assert unknown == []
