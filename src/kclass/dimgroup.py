@@ -205,7 +205,7 @@ class SubstitutionInvariant:
             At = IntMatrix(data["A_tilde"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed substitution invariant: {exc}") from exc
-        if not isinstance(n, int) or not all(isinstance(x, int) for x in p):
+        if type(n) is not int or not all(type(x) is int for x in p):
             raise ValueError("n and p must be integers")
         return cls(n, p, A, At)
 

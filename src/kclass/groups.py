@@ -27,7 +27,11 @@ class FgAbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        torsion = tuple(self.torsion)
+        # exact ints only, as for matrix entries: 92.5 is refused, not read as 92
+        if type(self.free_rank) is not int or not {int}.issuperset(map(type, torsion)):
+            raise TypeError("rank and torsion must be integers")
+        object.__setattr__(self, "torsion", torsion)
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         for d in self.torsion:

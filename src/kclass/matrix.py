@@ -10,6 +10,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 class IntMatrix:
     """An immutable integer matrix.
 
@@ -21,11 +25,16 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Sequence[int]], cols: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple([tuple(row) for row in data])
         if rows:
             width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
+            for r in rows:
+                if len(r) != width:
+                    raise ValueError("ragged rows")
+                # exact ints only: a bool, float or str entry is refused,
+                # never rounded
+                if not {int}.issuperset(map(type, r)):
+                    raise TypeError("matrix entries must be integers")
             if cols is not None and cols != width:
                 raise ValueError("cols does not match row width")
             cols = width
@@ -46,7 +55,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls(_identity_rows(n), cols=n)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int], rows: int | None = None,
@@ -57,7 +66,7 @@ class IntMatrix:
         m = [[0] * cols for _ in range(rows)]
         for i, d in enumerate(entries):
             if i < rows and i < cols:
-                m[i][i] = int(d)
+                m[i][i] = d
         return cls(m, cols=cols)
 
     @classmethod
@@ -216,8 +225,8 @@ def snf(M: IntMatrix) -> SmithDecomposition:
     """
     m, n = M.rows, M.cols
     a = M.to_lists()
-    u = IntMatrix.identity(m).to_lists()
-    v = IntMatrix.identity(n).to_lists()
+    u = _identity_rows(m)
+    v = _identity_rows(n)
 
     def row_sub(i: int, k: int, q: int) -> None:
         # row i -= q * row k, mirrored on U

@@ -17,8 +17,8 @@ import itertools
 from dataclasses import dataclass
 
 from .matrix import IntMatrix
-from .groups import (FgAbelianGroup, GroupHom, kernel, cokernel,
-                     is_exact_pair, solve_hom_equations)
+from .groups import (FgAbelianGroup, GroupHom, kernel, cokernel, group_from_matrix,
+                     is_exact_pair, relation_matrix, solve_hom_equations)
 from .ext import ext1, extension_class, pull_element, push_element, orbit_search
 from .autgroups import aut_generators, subgroup_closure, word_ball
 from .dimgroup import (StationaryDimensionGroup, is_positive_slope_map,
@@ -350,10 +350,12 @@ def _end_pair(inv1: SixTermInvariant, inv2: SixTermInvariant, node: str):
     return None if base is None else GroupHom(G1, G2, base)
 
 
-def _map_shape(h: GroupHom) -> tuple:
-    K, _ = kernel(h)
-    C, _ = cokernel(h)
-    return (K.free_rank, K.torsion, C.free_rank, C.torsion)
+def _cokernels(inv: SixTermInvariant) -> list[FgAbelianGroup]:
+    """C[i] = coker f_i for each map f_i, in MAP_KEYS order.  The cycle is
+    exact, so ker f_i = im f_{i-1}, which is isomorphic to coker f_{i-2}:
+    map i has kernel C[i-2] and cokernel C[i]."""
+    return [group_from_matrix(IntMatrix.hstack(h.matrix, relation_matrix(h.codomain)))
+            for h in (inv.maps[k] for k in MAP_KEYS)]
 
 
 def _hom_space(A: FgAbelianGroup, B: FgAbelianGroup):
@@ -504,8 +506,9 @@ def _decide(inv1: SixTermInvariant, inv2: SixTermInvariant,
             return not_isomorphic(
                 f"no order isomorphism exists between the cones at {node}")
         bases[node] = base
-    for key in MAP_KEYS:
-        if _map_shape(inv1.maps[key]) != _map_shape(inv2.maps[key]):
+    cok1, cok2 = _cokernels(inv1), _cokernels(inv2)
+    for i, key in enumerate(MAP_KEYS):
+        if (cok1[i - 2], cok1[i]) != (cok2[i - 2], cok2[i]):
             return not_isomorphic(
                 f"kernel or cokernel of the map {key} differs")
 

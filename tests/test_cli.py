@@ -262,6 +262,24 @@ def test_parse_errors_exit_2(capsys, tmp_path):
                                             ["broken.json", "good.json"]])
     rc, out, err = run_cli(capsys, "sixterm", "compare", "--batch", manifest)
     assert (rc, out, err) == (2, "", expected)
+    # map entries, ranks and torsion must be JSON integers: 1.5, "1" and
+    # true are refused, not read as 1
+    inexact_values = [("maps", "K0E->K0A", [[1.5]]), ("maps", "K0E->K0A", [["1"]]),
+                      ("maps", "K0E->K0A", [[True]]),
+                      ("groups", "K0A", {"rank": 0, "torsion": [2.5]}),
+                      ("groups", "K0B", {"rank": True, "torsion": []})]
+    for section, key, value in inexact_values:
+        data = one_ideal_invariant(g).to_json()
+        data[section][key] = value
+        inexact = dump(tmp_path / "inexact.json", data)
+        reason = ("matrix entries must be integers" if section == "maps"
+                  else "rank and torsion must be integers")
+        expected = f"error: bad six-term invariant in {inexact}: {reason}\n"
+        rc, out, err = run_cli(capsys, "sixterm", "compare", good, inexact)
+        assert (rc, out, err) == (2, "", expected)
+        manifest = dump(tmp_path / "man.json", [["good.json", "inexact.json"]])
+        rc, out, err = run_cli(capsys, "sixterm", "compare", "--batch", manifest)
+        assert (rc, out, err) == (2, "", expected)
 
 
 def test_unsupported_inputs_exit_3(capsys, tmp_path):

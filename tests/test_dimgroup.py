@@ -220,6 +220,11 @@ def test_substitution_invariant_json_round_trip():
     assert again == inv
     with pytest.raises(ValueError):
         SubstitutionInvariant.from_json({"n": 1, "p": [1], "A": [[1]]})
+    # n and p are exact integers, like matrix entries: true is not read as 1
+    data = inv.to_json()
+    for key, value in (("n", True), ("p", [True]), ("p", [1.0])):
+        with pytest.raises(ValueError, match="n and p must be integers"):
+            SubstitutionInvariant.from_json(dict(data, **{key: value}))
 
 
 def test_compare_reflexive_with_checked_witness():

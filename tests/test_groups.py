@@ -49,6 +49,14 @@ def test_canonical_form_validation():
     assert str(TRIVIAL) == "0"
 
 
+def test_rank_and_torsion_are_exact_integers():
+    # 92.5 is refused rather than read as 92, as matrix entries are
+    for rank, torsion in ((0, (92.5,)), (0, ("4",)), (0, (True,)), (1.0, ()), (True, ())):
+        with pytest.raises(TypeError, match="rank and torsion must be integers"):
+            FgAbelianGroup(rank, torsion)
+    assert FgAbelianGroup(1, [2, 4]).torsion == (2, 4)
+
+
 def test_group_from_matrix_worked_example():
     assert group_from_matrix(IntMatrix([[1, 0], [1, 2]])) == Zmod(2)
 

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 from math import gcd
 
+import pytest
+
 from kclass.matrix import (
     IntMatrix,
     kernel_basis,
@@ -133,3 +135,35 @@ def test_random_solve_round_trip():
         got = solve(M, b)
         assert got is not None
         assert M.apply(got) == b
+
+
+def test_constructor_rejects_ragged_rows_and_a_wrong_width():
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="cols does not match"):
+        IntMatrix([[1, 2]], cols=3)
+    assert IntMatrix([[1, 2]], cols=2).cols == 2
+
+
+def test_constructor_keeps_explicit_cols_on_zero_rows():
+    M = IntMatrix([], cols=4)
+    assert (M.rows, M.cols, M.data) == (0, 4, ())
+    assert IntMatrix([]).cols == 0
+    assert IntMatrix.zeros(0, 3).cols == 3
+
+
+def test_matrix_is_immutable():
+    M = IntMatrix([[1]])
+    for name in ("rows", "cols", "data", "other"):
+        with pytest.raises(AttributeError):
+            setattr(M, name, 0)
+    assert M.data == ((1,),)
+
+
+@pytest.mark.parametrize("entry", [True, False, 1.0, 1.5, "1"])
+def test_constructor_takes_exact_integers_only(entry):
+    # entries are never coerced: 1.5 is not read as 1, nor True as 1
+    with pytest.raises(TypeError, match="matrix entries must be integers"):
+        IntMatrix([[1, 2], [3, entry]])
+    with pytest.raises(TypeError):
+        IntMatrix([[entry]])

@@ -17,7 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kclass"
 
 ALLOWED = {
-    "group_from_matrix": "the group a relation matrix presents, for library callers",
     "stationary_cone": "constructor of the stationary_dg cone, beside the other three",
 }
 ALLOWED_MODULES = {

@@ -7,8 +7,9 @@ from collections import Counter
 import pytest
 from oracles import sixterm_iso_bruteforce
 
+import kclass.sixterm
 import kclass.surd
-from kclass.groups import FgAbelianGroup, GroupHom
+from kclass.groups import FgAbelianGroup, GroupHom, cokernel, kernel
 from kclass.matrix import IntMatrix
 from kclass.sixterm import (
     SixTermInvariant, ConeDescriptor, Witness, UnsupportedConeError,
@@ -17,7 +18,7 @@ from kclass.sixterm import (
     NODES, MAP_KEYS,
 )
 from kclass.autgroups import aut_generators, subgroup_closure
-from kclass.sampling import invariant_corpus
+from kclass.sampling import invariant_corpus, random_valid_invariant
 
 Z = FgAbelianGroup(1, ())
 Z2 = FgAbelianGroup(0, (2,))
@@ -344,6 +345,50 @@ def test_group_mismatch_certificate(worked_trio):
     assert v.certificate == f"groups at K0E differ: {Z} vs {Z_X_Z3}"
 
 
+def z4_cycle(mults):
+    Z4 = FgAbelianGroup(0, (4,))
+    groups = {n: Z4 for n in NODES}
+    maps = {k: hom(Z4, Z4, [[m]]) for k, m in zip(MAP_KEYS, mults)}
+    return SixTermInvariant(groups, maps, {n: unordered_cone() for n in ("K0B", "K0E", "K0A")})
+
+
+def quotient_cycle(incl, proj, onto):
+    """Z/2 -> Z/2 x Z/4 -> Z/2 x Z/4 -> Z/2 around K1A, K0B, K0E, K0A.
+    Both choices of the Z/2 in K0B have kernel Z/2 and cokernel Z/2 at
+    K0B->K0E, but the quotients of K0B by them, Z/2 x Z/2 and Z/4, are
+    the kernels of K0E->K0A."""
+    G = FgAbelianGroup(0, (2, 4))
+    groups = {"K0B": G, "K0E": G, "K0A": Z2, "K1B": TRIV, "K1E": TRIV, "K1A": Z2}
+    maps = {"K0B->K0E": hom(G, G, proj), "K0E->K0A": hom(G, Z2, onto),
+            "K0A->K1B": hom(Z2, TRIV), "K1B->K1E": hom(TRIV, TRIV),
+            "K1E->K1A": hom(TRIV, Z2), "K1A->K0B": hom(Z2, G, incl)}
+    return SixTermInvariant(groups, maps, {n: unordered_cone() for n in ("K0B", "K0E", "K0A")})
+
+
+def test_map_shape_certificates_read_the_cokernels(monkeypatch):
+    # equal groups and cones, different kernels or cokernels; the first
+    # pair differs at the first map, the second only from K0E->K0A on
+    cases = [
+        (z4_cycle([2] * 6), z4_cycle([1, 0] * 3), "K0B->K0E"),
+        (quotient_cycle([[0], [2]], [[1, 0], [0, 2]], [[0, 1]]),
+         quotient_cycle([[1], [0]], [[0, 0], [0, 1]], [[1, 0]]), "K0E->K0A"),
+    ]
+    calls = Counter()
+    for name in ("kernel", "cokernel"):
+        def counted(h, name=name, original=getattr(kclass.sixterm, name)):
+            calls[name] += 1
+            return original(h)
+        monkeypatch.setattr(kclass.sixterm, name, counted)
+    for a, b, key in cases:
+        for s, t in ((a, b), (b, a)):
+            v = decide_iso_one_ideal(s, t)
+            assert v.status == "not_isomorphic"
+            assert v.certificate == f"kernel or cokernel of the map {key} differs"
+    # exactness fixes every kernel, so six cokernel groups per invariant
+    # settle the stage without a kernel or cokernel map
+    assert calls == Counter()
+
+
 def test_decide_is_reflexive_on_mixed_examples(worked_trio):
     s1, s2, s3 = worked_trio
     pool = [s1, s2, s3, mod25_hexagon([5] * 6), infinite_k1_hexagon(1),
@@ -446,3 +491,17 @@ def test_decision_matches_bruteforce_oracle_on_finite_invariants():
     assert counts["isomorphic", False] + counts["isomorphic", True] >= 100
     assert counts["not_isomorphic", False] + counts["not_isomorphic", True] >= 100
     assert counts["isomorphic", True] >= 10 and counts["not_isomorphic", True] >= 10
+
+
+def test_map_shapes_from_cokernels_match_kernel_and_cokernel():
+    # by exactness ker f_i = coker f_{i-2}: the decision reads each map's
+    # shape off the six cokernels, checked here against both computed
+    rng = random.Random(14)
+    invs = invariant_corpus(13, 120) + [random_valid_invariant(rng) for _ in range(100)]
+    invs += [_twisted(inv, rng) for inv in invs[:100]]
+    assert len(invs) >= 300
+    for inv in invs:
+        cok = kclass.sixterm._cokernels(inv)
+        for i, key in enumerate(MAP_KEYS):
+            h = inv.maps[key]
+            assert (cok[i - 2], cok[i]) == (kernel(h)[0], cokernel(h)[0])
