@@ -8,7 +8,6 @@ input that parses but falls outside what the computations support.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -21,7 +20,7 @@ from .graphalg import (DirectedGraph, graph_ktheory, hereditary_saturated_sets,
 from .groups import FgAbelianGroup
 from .matrix import IntMatrix, snf
 from .sixterm import (NotExactError, SixTermInvariant, UnsupportedConeError,
-                      _group_json, decide_iso_one_ideal)
+                      _group_from_json, _group_json, decide_iso_one_ideal)
 from .surd import parse_surd, sturmian_equivalent
 
 PARSE_ERROR = 2
@@ -58,9 +57,7 @@ def _run(fn, *args, **kwargs):
     """Failures past parsing mean the input is out of scope, not malformed."""
     try:
         return fn(*args, **kwargs)
-    except UnsupportedConeError as exc:
-        raise CliError(UNSUPPORTED, str(exc)) from exc
-    except ValueError as exc:
+    except (UnsupportedConeError, ValueError) as exc:
         raise CliError(UNSUPPORTED, str(exc)) from exc
 
 
@@ -83,9 +80,7 @@ def _load_subst(path: str) -> SubstitutionInvariant:
 
 
 def _load_group(path: str) -> FgAbelianGroup:
-    def ctor(d):
-        return FgAbelianGroup(d["rank"], tuple(d["torsion"]))
-    return _build(ctor, _load_json(path), f"bad group in {path}")
+    return _build(_group_from_json, _load_json(path), f"bad group in {path}")
 
 
 def _load_matrix(path: str) -> IntMatrix:
@@ -156,16 +151,6 @@ def _compare_many(args, load, compare, resolve_paths: bool = True) -> dict:
     return one(args.first, args.second)
 
 
-def _decider(args):
-    """decide_iso_one_ideal under the budgets given on the command line."""
-    out = {}
-    if args.pair_budget is not None:
-        out["pair_budget"] = args.pair_budget
-    if args.orbit_limit is not None:
-        out["orbit_limit"] = args.orbit_limit
-    return functools.partial(decide_iso_one_ideal, **out)
-
-
 def cmd_snf(args) -> dict:
     dec = snf(_load_matrix(args.file))
     return {"U": dec.U.to_lists(), "D": dec.D.to_lists(), "V": dec.V.to_lists(),
@@ -175,9 +160,9 @@ def cmd_snf(args) -> dict:
 def cmd_ext(args) -> dict:
     A = _load_group(args.source)
     B = _load_group(args.target)
-    E = ext1(A, B)
+    E = ext1(A, B).group
     return {"source": _group_json(A), "target": _group_json(B),
-            "ext": _group_json(E.group), "order": E.group.order()}
+            "ext": _group_json(E), "order": E.order()}
 
 
 def cmd_graph_kth(args) -> dict:
@@ -202,7 +187,7 @@ def cmd_graph_invariant(args) -> dict:
 
 
 def cmd_graph_compare(args) -> dict:
-    return _compare_many(args, _load_graph_invariant, _decider(args))
+    return _compare_many(args, _load_graph_invariant, decide_iso_one_ideal)
 
 
 def cmd_sixterm_check(args) -> dict:
@@ -216,7 +201,7 @@ def cmd_sixterm_check(args) -> dict:
 
 
 def cmd_sixterm_compare(args) -> dict:
-    return _compare_many(args, _load_sixterm, _decider(args))
+    return _compare_many(args, _load_sixterm, decide_iso_one_ideal)
 
 
 def cmd_subst_compare(args) -> dict:
@@ -239,13 +224,6 @@ def _add_pair_args(p: argparse.ArgumentParser, noun: str) -> None:
     p.add_argument("second", nargs="?", metavar=noun.upper() + "2")
     p.add_argument("--batch", metavar="MANIFEST",
                    help="JSON manifest of input pairs; results keep its order")
-
-
-def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pair-budget", type=int, default=None, metavar="N",
-                   help="cap on end automorphism pairs tried (default 10000)")
-    p.add_argument("--orbit-limit", type=int, default=None, metavar="N",
-                   help="cap on extension class orbit states (default 1000000)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = gsub.add_parser("compare", parents=[common],
                         help="decide stable isomorphism of two one-ideal graphs")
     _add_pair_args(p, "file")
-    _add_budget_args(p)
     p.set_defaults(fn=cmd_graph_compare)
 
     six = sub.add_parser("sixterm", help="six-term invariant operations")
@@ -297,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = ssub.add_parser("compare", parents=[common],
                         help="decide isomorphism of two stored invariants")
     _add_pair_args(p, "file")
-    _add_budget_args(p)
     p.set_defaults(fn=cmd_sixterm_compare)
 
     subst = sub.add_parser("subst", help="substitution invariant operations")

@@ -28,7 +28,7 @@ from .groups import (
 class ExtGroup:
     """Ext(source, target) with a basis aligned to the source's torsion generators."""
 
-    __slots__ = ("source", "target", "moduli", "group")
+    __slots__ = ("source", "target", "moduli")
 
     def __init__(self, source: FgAbelianGroup, target: FgAbelianGroup):
         moduli = []
@@ -38,8 +38,6 @@ class ExtGroup:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "moduli", tuple(moduli))
-        diag = IntMatrix.diagonal(moduli, rows=len(moduli), cols=len(moduli))
-        object.__setattr__(self, "group", Presentation(diag).group)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtGroup is immutable")
@@ -50,6 +48,11 @@ class ExtGroup:
 
     def __hash__(self) -> int:
         return hash((self.source, self.target))
+
+    @property
+    def group(self) -> FgAbelianGroup:
+        """The abstract group, in canonical form."""
+        return Presentation(IntMatrix.diagonal(self.moduli)).group
 
     @property
     def nblocks(self) -> int:

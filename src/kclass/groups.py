@@ -210,8 +210,8 @@ class GroupHom:
         return self.matrix.is_zero()
 
     def is_surjective(self) -> bool:
-        C, _ = cokernel(self)
-        return C.is_trivial()
+        return group_from_matrix(
+            IntMatrix.hstack(self.matrix, relation_matrix(self.codomain))).is_trivial()
 
     def is_isomorphism(self) -> bool:
         """Groups are canonical, so isomorphic groups are equal, and a

@@ -58,16 +58,12 @@ class IntMatrix:
         return cls(_identity_rows(n), cols=n)
 
     @classmethod
-    def diagonal(cls, entries: Sequence[int], rows: int | None = None,
-                 cols: int | None = None) -> IntMatrix:
+    def diagonal(cls, entries: Sequence[int]) -> IntMatrix:
         n = len(entries)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
-        m = [[0] * cols for _ in range(rows)]
+        m = [[0] * n for _ in range(n)]
         for i, d in enumerate(entries):
-            if i < rows and i < cols:
-                m[i][i] = d
-        return cls(m, cols=cols)
+            m[i][i] = d
+        return cls(m, cols=n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> IntMatrix:

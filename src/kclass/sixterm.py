@@ -37,6 +37,14 @@ STATIONARY_DG = "stationary_dg"
 UNORDERED = "unordered"
 _TAGS = (ALL_POSITIVE, STANDARD_FREE, STATIONARY_DG, UNORDERED)
 
+# Search bounds of the decision.  A word ball is (radius, limit).
+PAIR_BUDGET = 10**4          # end pairs tried when some group is infinite
+CLOSURE_LIMIT = 10**5        # order automorphisms enumerated at an end
+ORBIT_LIMIT = 10**6          # extension class orbit states
+END_BALL = (4, 500)          # order automorphisms at an infinite end
+STATIONARY_BALL = (12, 500)  # the same at an end with a stationary cone
+FALLBACK_BALL = (4, 200)     # K1B or K1A with infinitely many solutions
+
 
 class UnsupportedConeError(Exception):
     """Raised when no exact engine handles the given cone descriptor."""
@@ -382,16 +390,6 @@ def _hom_space(A: FgAbelianGroup, B: FgAbelianGroup):
     return out
 
 
-def _dedup(homs) -> list[GroupHom]:
-    seen = set()
-    out = []
-    for h in homs:
-        if h.matrix not in seen:
-            seen.add(h.matrix)
-            out.append(h)
-    return out
-
-
 def _solutions(particular: GroupHom, corrections):
     yield particular
     if corrections:
@@ -401,18 +399,18 @@ def _solutions(particular: GroupHom, corrections):
                                particular.matrix + d.matrix)
 
 
-def _iso_pool(G1, c1, G2, c2, base: GroupHom, budget: int):
-    """Order isomorphisms (G1,c1) -> (G2,c2) as base . aut, with a
+def _iso_pool(G1, c1, base: GroupHom):
+    """The order isomorphisms base . a for a in Aut(G1, c1), with a
     completeness flag."""
     gens = aut_plus_generators(G1, c1)
     if G1.is_finite() or c1.tag == STANDARD_FREE:
-        auts = subgroup_closure(gens, limit=budget, group=G1)
+        auts = subgroup_closure(gens, limit=CLOSURE_LIMIT, group=G1)
         if auts is None:
             return None, False
         return [base @ a for a in auts], True
     # infinite group, infinite automorphism family: bounded word ball
-    radius = 4 if c1.tag != STATIONARY_DG else 12
-    auts = word_ball(gens, radius, limit=500)
+    ball = STATIONARY_BALL if c1.tag == STATIONARY_DG else END_BALL
+    auts = word_ball(gens, *ball)
     return [base @ a for a in auts], False
 
 
@@ -422,7 +420,7 @@ def _identity_witness(inv: SixTermInvariant) -> Witness:
 
 
 def _ext_route(inv1: SixTermInvariant, inv2: SixTermInvariant,
-               base_b: GroupHom, base_a: GroupHom, orbit_limit: int):
+               base_b: GroupHom, base_a: GroupHom):
     """Decision when the K1 row vanishes: a single extension class
     chased through the order automorphisms of the two ends."""
     A = inv1.groups["K0A"]
@@ -436,7 +434,7 @@ def _ext_route(inv1: SixTermInvariant, inv2: SixTermInvariant,
     y2 = push_element(base_b.inverse(), pull_element(base_a, x2))
     gens_a = aut_plus_generators(A, inv1.cones["K0A"])
     gens_b = aut_plus_generators(B, inv1.cones["K0B"])
-    found, word = orbit_search(E, x1, y2, gens_a, gens_b, limit=orbit_limit)
+    found, word = orbit_search(E, x1, y2, gens_a, gens_b, limit=ORBIT_LIMIT)
     if found is None:
         return unknown("extension class orbit exceeded the search limit")
     if found is False:
@@ -469,25 +467,23 @@ def _ext_route(inv1: SixTermInvariant, inv2: SixTermInvariant,
     return None  # fall through to the general search
 
 
-def decide_iso_one_ideal(inv1: SixTermInvariant, inv2: SixTermInvariant,
-                         pair_budget: int = 10 ** 4,
-                         orbit_limit: int = 10 ** 6) -> IsoVerdict:
+def decide_iso_one_ideal(inv1: SixTermInvariant, inv2: SixTermInvariant) -> IsoVerdict:
     """Decide isomorphism of two six-term invariants.
 
     The verdict is Isomorphic with a verified witness, NotIsomorphic
     with a human-readable certificate, or Unknown when an exact search
     is out of reach.  When all six groups are finite the search space
-    is finite and fully enumerated, so Unknown never occurs.  A cone
-    beyond the exact engines ends as Unknown with the engine's reason.
+    is finite and fully enumerated, so Unknown occurs only when an end
+    has more than CLOSURE_LIMIT automorphisms.  A cone beyond the exact
+    engines ends as Unknown with the engine's reason.
     """
     try:
-        return _decide(inv1, inv2, pair_budget, orbit_limit)
+        return _decide(inv1, inv2)
     except UnsupportedConeError as e:
         return unknown(str(e))
 
 
-def _decide(inv1: SixTermInvariant, inv2: SixTermInvariant,
-            pair_budget: int, orbit_limit: int) -> IsoVerdict:
+def _decide(inv1: SixTermInvariant, inv2: SixTermInvariant) -> IsoVerdict:
     """The decision for two invariants; raises UnsupportedConeError
     for a cone beyond the exact engines."""
     for node in NODES:
@@ -519,15 +515,15 @@ def _decide(inv1: SixTermInvariant, inv2: SixTermInvariant,
 
     k1_trivial = all(inv1.groups[n].is_trivial() for n in ("K1B", "K1E", "K1A"))
     if k1_trivial:
-        verdict = _ext_route(inv1, inv2, bases["K0B"], bases["K0A"], orbit_limit)
+        verdict = _ext_route(inv1, inv2, bases["K0B"], bases["K0A"])
         if verdict is not None:
             return verdict
 
-    return _general_search(inv1, inv2, bases, pair_budget)
+    return _general_search(inv1, inv2, bases)
 
 
 def _general_search(inv1: SixTermInvariant, inv2: SixTermInvariant,
-                    bases: dict, pair_budget: int) -> IsoVerdict:
+                    bases: dict) -> IsoVerdict:
     """Bounded enumeration over end pairs (beta0, alpha0), solving the
     four remaining maps square by square.  Exhaustive when every group
     is finite."""
@@ -535,30 +531,27 @@ def _general_search(inv1: SixTermInvariant, inv2: SixTermInvariant,
     m1 = {k: inv1.maps[k] for k in MAP_KEYS}
     m2 = {k: inv2.maps[k] for k in MAP_KEYS}
     all_finite = all(g1[n].is_finite() for n in NODES)
-    budget = None if all_finite else pair_budget
+    budget = None if all_finite else PAIR_BUDGET
 
-    pool_b, complete_b = _iso_pool(g1["K0B"], inv1.cones["K0B"],
-                                   g2["K0B"], inv2.cones["K0B"],
-                                   bases["K0B"], 10 ** 5)
-    pool_a, complete_a = _iso_pool(g1["K0A"], inv1.cones["K0A"],
-                                   g2["K0A"], inv2.cones["K0A"],
-                                   bases["K0A"], 10 ** 5)
+    pool_b, complete_b = _iso_pool(g1["K0B"], inv1.cones["K0B"], bases["K0B"])
+    pool_a, complete_a = _iso_pool(g1["K0A"], inv1.cones["K0A"], bases["K0A"])
     if pool_b is None or pool_a is None:
         return unknown("automorphism enumeration exceeded its limit")
 
     # The correction families of beta1 and alpha1 are independent of the
     # chosen end pair.  Each parametrizes the homogeneous solutions of its
-    # map's square.
+    # map's square.  Distinct homs stay distinct under composition, since
+    # proj is onto and incl is into.
     beta1_corr = None
     Cok, proj = cokernel(m1["K0A->K1B"])
     homs = _hom_space(Cok, g2["K1B"])
     if homs is not None:
-        beta1_corr = _dedup(xi @ proj for xi in homs)
+        beta1_corr = [xi @ proj for xi in homs]
     alpha1_corr = None
     Ker, incl = kernel(m2["K1A->K0B"])
     homs = _hom_space(g1["K1A"], Ker)
     if homs is not None:
-        alpha1_corr = _dedup(incl @ xi for xi in homs)
+        alpha1_corr = [incl @ xi for xi in homs]
 
     # Bounded fallback balls for a node whose correction space is
     # infinite; they recover common twists but never prove absence, so a
@@ -571,7 +564,7 @@ def _general_search(inv1: SixTermInvariant, inv2: SixTermInvariant,
                 yield cand
         if corrections is None:
             if node not in balls:
-                balls[node] = word_ball(aut_generators(g1[node]), 4, limit=200)
+                balls[node] = word_ball(aut_generators(g1[node]), *FALLBACK_BALL)
             for h in balls[node]:
                 if check(h) and h.is_isomorphism():
                     yield h

@@ -1,5 +1,5 @@
 """Every public function and method in kclass is named outside its definition,
-and every imported name is used.
+every imported name is used, and every parameter is read.
 
 A public name that nothing in ``src/kclass`` or ``bench/*.py`` mentions
 besides its own ``def`` line is code that only its unit tests reach:
@@ -7,7 +7,8 @@ delete it, or list it in ALLOWED with the reason it stays.  A module
 function is mentioned by its bare name, a property or classmethod by
 ``.name``, and any other method only by a call ``.name(``, so a method
 is not taken as reached through a word or attribute of the same name.
-A name a module imports and never reads is deleted from the import.
+A name a module imports and never reads is deleted from the import, and
+so is a parameter its function never reads (dunder methods apart).
 """
 import ast
 import re
@@ -83,3 +84,27 @@ def test_no_module_imports_a_name_it_never_uses():
               for path in sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")])
               for name in unused_imports(path)]
     assert unused == []
+
+
+def unread_parameters(path: Path) -> list[str]:
+    """Parameters of a function that its body never reads, for every
+    function and method apart from dunder methods."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, ast.FunctionDef) or (
+                fn.name.startswith("__") and fn.name.endswith("__")):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(p for p in (a.vararg, a.kwarg) if p is not None)]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{fn.name}({p.arg})" for p in params if p.arg not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.name}: {entry}"
+              for path in sorted(SRC.glob("*.py"))
+              for entry in unread_parameters(path)]
+    assert unread == []

@@ -1,6 +1,7 @@
 """Six-term invariants: validation, witnesses, and the decision procedure."""
 import functools
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from oracles import sixterm_iso_bruteforce
 
 import kclass.sixterm
 import kclass.surd
+from kclass.cli import main
 from kclass.groups import FgAbelianGroup, GroupHom, cokernel, kernel
 from kclass.matrix import IntMatrix
 from kclass.sixterm import (
@@ -452,6 +454,55 @@ def test_unknown_names_the_sampled_node():
         v = decide_iso_one_ideal(a, b)
         assert v.status == "unknown"
         assert v.reason == "no witness among the sampled automorphisms at K0A"
+
+
+# free_end_hexagon(1) and (-1) are proved apart by trying both order
+# automorphisms of (Z^2, coordinate cone) at K0B: two end pairs.
+@pytest.mark.parametrize("bound, value, reason", [
+    ("PAIR_BUDGET", 1, "pair budget exhausted before a decision"),
+    ("CLOSURE_LIMIT", 1, "automorphism enumeration exceeded its limit"),
+])
+def test_exhausted_search_bound_is_unknown(monkeypatch, bound, value, reason):
+    s, t = free_end_hexagon(1), free_end_hexagon(-1)
+    monkeypatch.setattr(kclass.sixterm, bound, value + 1)
+    assert decide_iso_one_ideal(s, t).status == "not_isomorphic"
+    monkeypatch.setattr(kclass.sixterm, bound, value)
+    v = decide_iso_one_ideal(s, t)
+    assert (v.status, v.reason) == ("unknown", reason)
+
+
+def z7_extension(k):
+    """0 -> Z -> Z -> Z/7 -> 0 with maps 7 and k, and a vanishing K1 row."""
+    Z7 = FgAbelianGroup(0, (7,))
+    groups = {"K0B": Z, "K0E": Z, "K0A": Z7, "K1A": TRIV, "K1E": TRIV, "K1B": TRIV}
+    maps = {"K0B->K0E": hom(Z, Z, [[7]]), "K0E->K0A": hom(Z, Z7, [[k]]),
+            "K0A->K1B": hom(Z7, TRIV), "K1B->K1E": hom(TRIV, TRIV),
+            "K1E->K1A": hom(TRIV, TRIV), "K1A->K0B": hom(TRIV, Z)}
+    cones = {"K0B": standard_free_cone(), "K0E": unordered_cone(),
+             "K0A": all_positive_cone()}
+    return SixTermInvariant(groups, maps, cones)
+
+
+def test_exhausted_orbit_limit_is_unknown(monkeypatch):
+    # the two extension classes meet only after more than two orbit states
+    s, t = z7_extension(1), z7_extension(2)
+    assert decide_iso_one_ideal(s, t).status == "isomorphic"
+    monkeypatch.setattr(kclass.sixterm, "ORBIT_LIMIT", 2)
+    v = decide_iso_one_ideal(s, t)
+    assert (v.status, v.reason) == ("unknown", "extension class orbit exceeded the search limit")
+
+
+def test_exhausted_budget_is_a_result_on_the_command_line(monkeypatch, capsys, tmp_path):
+    paths = []
+    for sign in (1, -1):
+        paths.append(tmp_path / f"s{sign}.json")
+        paths[-1].write_text(json.dumps(free_end_hexagon(sign).to_json()))
+    monkeypatch.setattr(kclass.sixterm, "PAIR_BUDGET", 1)
+    rc = main(["sixterm", "compare", *map(str, paths)])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"verdict": "unknown",
+                               "reason": "pair budget exhausted before a decision"}
 
 
 def _twisted(inv, rng):
