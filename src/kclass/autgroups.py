@@ -108,6 +108,40 @@ def aut_generators(G: FgAbelianGroup) -> list[GroupHom]:
     return gens
 
 
+def aut_order(G: FgAbelianGroup) -> int:
+    """|Aut(G)| of a finite abelian group, without listing it.
+
+    Hillar and Rhea (Amer. Math. Monthly 114, 2007), per prime p: for
+    the p-part Z/p^e_1 + ... + Z/p^e_n with e_1 <= ... <= e_n, and d_k
+    (c_k) the largest (smallest) l with e_l = e_k,
+    |Aut| = prod_k (p^d_k - p^(k-1)) p^(e_k (n - d_k)) p^((e_k - 1)(n - c_k + 1)).
+    """
+    if not G.is_finite():
+        raise ValueError("aut_order needs a finite group")
+    exponents: dict[int, list[int]] = {}
+    for d in G.torsion:
+        p = 2
+        while d > 1:
+            if p * p > d:
+                p = d
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    order = 1
+    for p, es in exponents.items():
+        # a divisibility chain lists each prime's exponents in ascending order
+        n = len(es)
+        for k, e in enumerate(es, 1):
+            d_k = n - es[::-1].index(e)
+            c_k = es.index(e) + 1
+            order *= (p**d_k - p**(k - 1)) * p**(e * (n - d_k)) * p**((e - 1) * (n - c_k + 1))
+    return order
+
+
 def subgroup_closure(gens: Sequence[GroupHom], limit: int = 10 ** 6,
                      group: FgAbelianGroup | None = None) -> list[GroupHom] | None:
     """All products of the generators, or None past ``limit`` elements.

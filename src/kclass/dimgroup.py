@@ -9,8 +9,6 @@ matrices through the left Perron eigenvector in its quadratic field.
 """
 from __future__ import annotations
 
-import itertools
-
 from .matrix import IntMatrix, unimodular_inverse
 from .surd import (
     QuadraticIrrational,
@@ -20,6 +18,10 @@ from .surd import (
     mobius_apply,
 )
 from . import verdict as V
+
+# Candidate letters tried by the letter-permutation search of
+# compare_substitution_invariants before it gives up.
+CONJUGACY_BUDGET = 10**5
 
 
 class StationaryDimensionGroup:
@@ -223,6 +225,76 @@ def _matching_permutation(p1, p2) -> list[int] | None:
     return sigma
 
 
+def _refined_colours(rows1, rows2) -> tuple[list[int], list[int]]:
+    """Stable colours of the letters of two square matrices, refined together.
+
+    A letter starts coloured by its diagonal entry; each round recolours
+    it by its old colour and the sorted (entry, colour) multisets of its
+    row and of its column, until no class splits.  Colours are ranks of
+    signatures shared by both matrices, so a letter permutation
+    conjugating one matrix into the other preserves them.
+    """
+    mats = (rows1, rows2)
+    colours = [[rows[i][i] for i in range(len(rows))] for rows in mats]
+    classes = len(set(colours[0] + colours[1]))
+    while True:
+        sigs = [[(col[i],
+                  tuple(sorted(zip(rows[i], col))),
+                  tuple(sorted((rows[k][i], col[k]) for k in range(len(rows)))))
+                 for i in range(len(rows))]
+                for rows, col in zip(mats, colours)]
+        rank = {sig: c for c, sig in enumerate(sorted(set(sigs[0] + sigs[1])))}
+        colours = [[rank[sig] for sig in side] for side in sigs]
+        if len(rank) == classes:
+            return colours[0], colours[1]
+        classes = len(rank)
+
+
+def _conjugating_permutation(rows1, rows2) -> tuple[list[int] | None, bool]:
+    """The lexicographically first perm with rows2[perm[i]][perm[k]] == rows1[i][k]
+    for all i, k, with a completeness flag.
+
+    Letters are assigned in order, each to an unused letter of its colour
+    class (see _refined_colours) agreeing with every assignment so far.
+    (None, True) means no such permutation exists; (None, False) means
+    CONJUGACY_BUDGET candidates were tried without an answer.
+    """
+    colours1, colours2 = _refined_colours(rows1, rows2)
+    if sorted(colours1) != sorted(colours2):
+        return None, True
+    cells: dict[int, list[int]] = {}
+    for j, c in enumerate(colours2):
+        cells.setdefault(c, []).append(j)
+    m = len(rows1)
+    perm: list[int] = []
+    used = [False] * m
+    tried = [0] * m  # candidates of position i's cell already tried
+    steps = 0
+    while len(perm) < m:
+        i = len(perm)
+        cell = cells[colours1[i]]
+        while tried[i] < len(cell):
+            j = cell[tried[i]]
+            tried[i] += 1
+            if used[j]:
+                continue
+            steps += 1
+            if steps > CONJUGACY_BUDGET:
+                return None, False
+            row1, row2 = rows1[i], rows2[j]
+            if all(row2[perm[k]] == row1[k] and rows2[perm[k]][j] == rows1[k][i]
+                   for k in range(i)):
+                perm.append(j)
+                used[j] = True
+                break
+        else:
+            if not perm:
+                return None, True
+            tried[i] = 0
+            used[perm.pop()] = False
+    return perm, True
+
+
 def _permutation_matrix(sigma: list[int]) -> IntMatrix:
     n = len(sigma)
     return IntMatrix([[1 if sigma[j] == i else 0 for j in range(n)] for i in range(n)])
@@ -340,26 +412,29 @@ def compare_substitution_invariants(i1: SubstitutionInvariant,
     m1, m2 = i1.alphabet_size, i2.alphabet_size
     G1 = StationaryDimensionGroup(i1.A)
     G2 = StationaryDimensionGroup(i2.A)
-    if m1 == m2 and m1 <= 8:
-        for perm in itertools.permutations(range(m1)):
-            P = _permutation_matrix(list(perm))
-            if P @ i1.A == i2.A @ P:
-                return _checked_match(i1, i2, sigma, P)
+    spent = ""  # appended to an unknown reached after a search cut short
+    if m1 == m2:
+        perm, complete = _conjugating_permutation(i1.A.data, i2.A.data)
+        if perm is not None:
+            return _checked_match(i1, i2, sigma, _permutation_matrix(perm))
+        if not complete:
+            spent = ("; the letter-permutation search stopped at "
+                     f"CONJUGACY_BUDGET = {CONJUGACY_BUDGET} candidates")
     det1, det2 = G1.determinant(), G2.determinant()
     if det1 != 0 and det2 != 0 and m1 != m2:
         # nonzero determinant pins the torsion-free rank at the matrix size
         return V.not_isomorphic("group ranks differ")
     fg1, fg2 = G1.is_finitely_generated(), G2.is_finitely_generated()
     if fg1 is None or fg2 is None:
-        return V.unknown("a vanishing determinant leaves the group type undecided here")
+        return V.unknown("a vanishing determinant leaves the group type undecided here" + spent)
     if fg1 != fg2:
         return V.not_isomorphic("one group is finitely generated, the other is not")
     if not fg1:
-        return V.unknown("no exact engine for two non-finitely-generated groups")
+        return V.unknown("no exact engine for two non-finitely-generated groups" + spent)
     if m1 == 2 and G1.is_primitive() and G2.is_primitive():
         # |det| = 1 and a Perron root above 1 make both slopes irrational
         psi = order_iso_base(G1, G2)
         if psi is None:
             return V.not_isomorphic("Perron slope classes are inequivalent")
         return _checked_match(i1, i2, sigma, psi)
-    return V.unknown("beyond the exact rank-2 engine")
+    return V.unknown("beyond the exact rank-2 engine" + spent)

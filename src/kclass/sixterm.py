@@ -20,7 +20,7 @@ from .matrix import IntMatrix
 from .groups import (FgAbelianGroup, GroupHom, kernel, cokernel, group_from_matrix,
                      is_exact_pair, relation_matrix, solve_hom_equations)
 from .ext import ext1, extension_class, pull_element, push_element, orbit_search
-from .autgroups import aut_generators, subgroup_closure, word_ball
+from .autgroups import aut_generators, aut_order, subgroup_closure, word_ball
 from .dimgroup import (StationaryDimensionGroup, is_positive_slope_map,
                        order_iso_base, cone_stabilizer_generator, perron_slope)
 from .verdict import IsoVerdict, isomorphic, not_isomorphic, unknown
@@ -402,6 +402,9 @@ def _solutions(particular: GroupHom, corrections):
 def _iso_pool(G1, c1, base: GroupHom):
     """The order isomorphisms base . a for a in Aut(G1, c1), with a
     completeness flag."""
+    if G1.is_finite() and c1.tag in (UNORDERED, ALL_POSITIVE) and aut_order(G1) > CLOSURE_LIMIT:
+        # every automorphism respects such a cone: the closure would list Aut(G1) up to its limit
+        return None, False
     gens = aut_plus_generators(G1, c1)
     if G1.is_finite() or c1.tag == STANDARD_FREE:
         auts = subgroup_closure(gens, limit=CLOSURE_LIMIT, group=G1)

@@ -1,5 +1,7 @@
 """Independent brute-force oracles shared by the test modules."""
 import itertools
+import math
+import random
 from collections import defaultdict
 from math import gcd
 
@@ -227,6 +229,21 @@ def squarefree_decompose_bruteforce(d: int) -> tuple[int, int]:
     return s, d0 * n
 
 
+def conjugating_permutation_bruteforce(rows1, rows2) -> list[int] | None:
+    """The first perm, in lexicographic order, with P A1 = A2 P for the
+    permutation matrix P sending letter j to letter perm[j], or None.
+
+    Scans all m! permutations, so only small alphabets are in reach.
+    """
+    A1, A2 = IntMatrix(rows1), IntMatrix(rows2)
+    m = A1.rows
+    for perm in itertools.permutations(range(m)):
+        P = IntMatrix([[1 if perm[j] == i else 0 for j in range(m)] for i in range(m)])
+        if P @ A1 == A2 @ P:
+            return list(perm)
+    return None
+
+
 def aut_brute(G) -> list[GroupHom]:
     """Every automorphism of a small finite group, by exhaustion.
 
@@ -249,6 +266,60 @@ def aut_brute(G) -> list[GroupHom]:
         if h.is_isomorphism():
             out.append(h)
     return out
+
+
+def sifted_order_bound(perms, n: int, target: int, rounds: int = 4000) -> int:
+    """A lower bound on the order of the group generated by permutations
+    of range(n), raised until it reaches ``target`` or ``rounds`` run out.
+
+    Random Schreier-Sims: seeded random products of the generators are
+    sifted through a stabiliser chain, and a residue other than the
+    identity joins the chain at the level where it stopped.  Each
+    level's generators fix the earlier base points, so the product of
+    the basic orbit lengths never exceeds the group order.
+    """
+    ident = tuple(range(n))
+
+    def mul(p, q):  # q first, then p
+        return tuple(p[x] for x in q)
+
+    def inv(p):
+        out = [0] * n
+        for i, x in enumerate(p):
+            out[x] = i
+        return tuple(out)
+
+    base, gens, trans = [], [], []
+    rng = random.Random(0)
+    for _ in range(rounds):
+        if math.prod(len(t) for t in trans) >= target or not perms:
+            break
+        g = ident
+        for _ in range(rng.randint(10, 30)):  # both parities of word length
+            g = mul(rng.choice(perms), g)
+        for i, b in enumerate(base):
+            u = trans[i].get(g[b])
+            if u is None:
+                break
+            g = mul(inv(u), g)
+        else:
+            if g == ident:
+                continue
+            i = len(base)
+            base.append(next(x for x in range(n) if g[x] != x))
+            gens.append([])
+            trans.append({})
+        gens[i].append(g)
+        orbit = {base[i]: ident}
+        frontier = [base[i]]
+        while frontier:
+            x = frontier.pop()
+            for s in gens[i]:
+                if s[x] not in orbit:
+                    orbit[s[x]] = mul(s, orbit[x])
+                    frontier.append(s[x])
+        trans[i] = orbit
+    return math.prod(len(t) for t in trans)
 
 
 def _automorphism_tables(G) -> list[tuple[int, ...]]:

@@ -6,12 +6,13 @@ import pytest
 
 from kclass.autgroups import (
     aut_generators,
+    aut_order,
     subgroup_closure,
     unit_group_generators,
     word_ball,
 )
 from kclass.groups import FgAbelianGroup, GroupHom
-from oracles import aut_brute
+from oracles import aut_brute, sifted_order_bound
 
 
 def closure_of_units(gens, d):
@@ -108,3 +109,41 @@ def test_trivial_group_aut():
     G = FgAbelianGroup(0, ())
     assert aut_brute(G) == [GroupHom.identity(G)]
     assert aut_generators(G) == []
+
+
+def finite_abelian_groups(max_order: int, divisor: int = 1):
+    """Every finite abelian group of order <= max_order whose invariant
+    factors d_1 | d_2 | ... are multiples of ``divisor``, once each."""
+    yield FgAbelianGroup(0, ())
+    for d in range(max(divisor, 2), max_order + 1):
+        if d % divisor == 0:
+            for rest in finite_abelian_groups(max_order // d, d):
+                yield FgAbelianGroup(0, (d,) + rest.torsion)
+
+
+def test_aut_order_formula():
+    # |GL(5, 2)|, Aut(Z/p^2) of order p(p - 1), and Aut(Z/2 + Z/4) = D4
+    assert aut_order(FgAbelianGroup(0, (2,) * 5)) == 9999360
+    assert aut_order(FgAbelianGroup(0, (9,))) == 6
+    assert aut_order(FgAbelianGroup(0, (2, 4))) == 8
+    assert aut_order(FgAbelianGroup(0, ())) == 1
+    with pytest.raises(ValueError):
+        aut_order(FgAbelianGroup(1, (2,)))
+
+
+@pytest.mark.parametrize("G", list(finite_abelian_groups(64)), ids=str)
+def test_aut_order_against_generated_group(G):
+    # aut_generators must generate all of Aut(G): sixterm._iso_pool gives
+    # up before listing a group whose aut_order exceeds its closure limit
+    order = aut_order(G)
+    gens = aut_generators(G)
+    if G.order() ** G.ngens <= 1024:
+        assert len(aut_brute(G)) == order
+    if order <= 1536:
+        assert len(subgroup_closure(gens, group=G)) == order
+    # the generated group acts faithfully on the elements of G
+    elems = list(G.elements())
+    index = {x: i for i, x in enumerate(elems)}
+    tables = [tuple(index[h(x)] for x in elems) for h in gens]
+    assert all(sorted(t) == list(range(len(elems))) for t in tables)
+    assert sifted_order_bound(tables, len(elems), order) == order

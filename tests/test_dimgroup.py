@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from kclass.dimgroup import (
     order_iso_base,
     perron_slope,
 )
+from oracles import conjugating_permutation_bruteforce
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 FIB4 = IntMatrix([[5, 3], [3, 2]])
@@ -372,3 +374,106 @@ def test_compare_returns_only_checked_witnesses(monkeypatch):
         verdict = compare_substitution_invariants(a, b)
         assert verdict.status == "unknown"
         assert "check_subst_witness" in verdict.reason
+
+
+def conjugate(rows, perm):
+    """The matrix B with B[perm[i]][perm[k]] = rows[i][k]."""
+    m = len(rows)
+    out = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for k in range(m):
+            out[perm[i]][perm[k]] = rows[i][k]
+    return out
+
+
+def conjugacy_cases(rng):
+    """Seeded pairs of nonnegative m x m matrices, m <= 6: random,
+    circulant and all-equal matrices against random conjugates, half of
+    them with one entry perturbed."""
+    for _ in range(150):
+        m = rng.randint(1, 6)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows = [[rng.choice((0, 0, 1, 1, 2)) for _ in range(m)] for _ in range(m)]
+        elif kind == 1:
+            c = [rng.randint(0, 2) for _ in range(m)]
+            rows = [[c[(k - i) % m] for k in range(m)] for i in range(m)]
+        else:
+            rows = [[rng.randint(0, 3)] * m for _ in range(m)]
+        perm = list(range(m))
+        rng.shuffle(perm)
+        other = conjugate(rows, perm)
+        if rng.random() < 0.5:
+            i, k = rng.randrange(m), rng.randrange(m)
+            other[i][k] += 1
+        yield rows, other
+
+
+# a 6-cycle against two triangles, undirected and directed: every letter
+# looks alike, so colour refinement leaves one class on each side and
+# only backtracking tells them apart
+HEXAGON = [[1 if (i - k) % 6 in (1, 5) else 0 for k in range(6)] for i in range(6)]
+TWO_TRIANGLES = [[1 if i != k and i // 3 == k // 3 else 0 for k in range(6)] for i in range(6)]
+DIRECTED_HEXAGON = [[1 if k == (i + 1) % 6 else 0 for k in range(6)] for i in range(6)]
+DIRECTED_TRIANGLES = [[1 if k == i // 3 * 3 + (i + 1) % 3 else 0 for k in range(6)]
+                      for i in range(6)]
+
+
+def test_conjugating_permutation_matches_the_scan():
+    cases = list(conjugacy_cases(random.Random(16)))
+    # 0/1 circulants on five letters: many automorphisms, so many
+    # permutations pass the first checks and the first full match is late
+    for c in itertools.product((0, 1), repeat=5):
+        rows = [[c[(k - i) % 5] for k in range(5)] for i in range(5)]
+        cases.append((rows, conjugate(rows, [0, 3, 1, 4, 2])))
+    for one, other in ((HEXAGON, TWO_TRIANGLES), (DIRECTED_HEXAGON, DIRECTED_TRIANGLES)):
+        cases += [(one, other), (other, one), (one, conjugate(one, [3, 1, 4, 0, 5, 2])),
+                  (other, conjugate(other, [3, 1, 4, 0, 5, 2]))]
+    for rows1, rows2 in cases:
+        rows1 = tuple(map(tuple, rows1))
+        rows2 = tuple(map(tuple, rows2))
+        want = conjugating_permutation_bruteforce(rows1, rows2)
+        assert kclass.dimgroup._conjugating_permutation(rows1, rows2) == (want, True)
+
+
+@pytest.mark.parametrize("one, other", [(HEXAGON, TWO_TRIANGLES),
+                                        (DIRECTED_HEXAGON, DIRECTED_TRIANGLES)])
+def test_equal_colour_histograms_without_conjugacy(one, other):
+    assert kclass.dimgroup._refined_colours(one, other) == ([0] * 6, [0] * 6)
+    assert kclass.dimgroup._conjugating_permutation(one, other) == (None, True)
+
+
+def twelve_letter_pair():
+    rng = random.Random(12)
+    rows = [[rng.choice((0, 0, 1, 2)) for _ in range(12)] for _ in range(12)]
+    for i in range(12):
+        rows[i][(i + 1) % 12] = 1  # a cycle through every letter
+    rows[0][0] = 1  # and a loop: primitive
+    perm = list(range(12))
+    rng.shuffle(perm)
+    return IntMatrix(rows), IntMatrix(conjugate(rows, perm))
+
+
+def test_twelve_letter_conjugates_are_isomorphic():
+    A1, A2 = twelve_letter_pair()
+    assert StationaryDimensionGroup(A1).is_primitive()
+    inv1 = example_invariant([[1] * 12], A1)
+    inv2 = example_invariant([[1] * 12], A2)
+    start = time.perf_counter()
+    verdict = compare_substitution_invariants(inv1, inv2)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.status == "isomorphic"
+    assert check_subst_witness(inv1, inv2, verdict.witness)
+
+
+def test_spent_conjugacy_budget_is_named(monkeypatch):
+    A1, A2 = twelve_letter_pair()
+    A1 = IntMatrix([row[:6] for row in A1.to_lists()[:6]])
+    A2 = IntMatrix(conjugate(A1.to_lists(), [5, 3, 1, 0, 2, 4]))
+    inv1 = example_invariant([[1] * 6], A1)
+    inv2 = example_invariant([[1] * 6], A2)
+    assert compare_substitution_invariants(inv1, inv2).status == "isomorphic"
+    monkeypatch.setattr(kclass.dimgroup, "CONJUGACY_BUDGET", 1)
+    verdict = compare_substitution_invariants(inv1, inv2)
+    assert verdict.status == "unknown"
+    assert "CONJUGACY_BUDGET = 1 " in verdict.reason

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -469,6 +470,32 @@ def test_exhausted_search_bound_is_unknown(monkeypatch, bound, value, reason):
     monkeypatch.setattr(kclass.sixterm, bound, value)
     v = decide_iso_one_ideal(s, t)
     assert (v.status, v.reason) == ("unknown", reason)
+
+
+def z2_five_hexagon(image):
+    """K1A = Z/2 -> K0B = (Z/2)^5 onto ``image`` (e5 or e4 + e5), then K0B
+    onto K0E = (Z/2)^4 with that kernel; the other nodes are trivial."""
+    B, E = FgAbelianGroup(0, (2,) * 5), FgAbelianGroup(0, (2,) * 4)
+    proj = [[int(i == j) for j in range(5)] for i in range(4)]
+    proj[3][4] = image[3]
+    groups = {"K0B": B, "K0E": E, "K0A": TRIV, "K1A": Z2, "K1E": TRIV, "K1B": TRIV}
+    maps = {"K0B->K0E": hom(B, E, proj), "K0E->K0A": hom(E, TRIV),
+            "K0A->K1B": hom(TRIV, TRIV), "K1B->K1E": hom(TRIV, TRIV),
+            "K1E->K1A": hom(TRIV, Z2), "K1A->K0B": hom(Z2, B, [[x] for x in image])}
+    cones = {"K0B": all_positive_cone(), "K0E": unordered_cone(),
+             "K0A": all_positive_cone()}
+    return SixTermInvariant(groups, maps, cones)
+
+
+def test_end_with_too_many_automorphisms_is_refused_at_once():
+    # |Aut((Z/2)^5)| = |GL(5, 2)| = 9,999,360 exceeds CLOSURE_LIMIT, so the
+    # search gives up without listing 10^5 of them first
+    s = z2_five_hexagon([0, 0, 0, 0, 1])
+    t = z2_five_hexagon([0, 0, 0, 1, 1])
+    start = time.perf_counter()
+    v = decide_iso_one_ideal(s, t)
+    assert time.perf_counter() - start < 1.0
+    assert (v.status, v.reason) == ("unknown", "automorphism enumeration exceeded its limit")
 
 
 def z7_extension(k):
