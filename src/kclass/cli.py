@@ -41,7 +41,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(PARSE_ERROR, f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the
+        # interpreter's digit limit; RecursionError, nesting too deep
         raise CliError(PARSE_ERROR, f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -94,11 +96,9 @@ def _parse_surd_arg(text: str):
     try:
         return parse_surd(text)
     except ValueError as exc:
-        # the parser flags a well-formed literal with a rational value, or
-        # with a radicand it cannot reduce exactly, by these messages; that
-        # input is out of scope rather than malformed
-        code = (UNSUPPORTED if str(exc).startswith(("not irrational", "unsupported radicand"))
-                else PARSE_ERROR)
+        # the parser flags a well-formed literal with a rational value by
+        # this message; that input is out of scope rather than malformed
+        code = UNSUPPORTED if str(exc).startswith("not irrational") else PARSE_ERROR
         raise CliError(code, str(exc)) from exc
 
 

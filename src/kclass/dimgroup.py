@@ -16,6 +16,7 @@ from .surd import (
     convergent_matrix,
     equivalence_witness,
     mobius_apply,
+    same_field_root,
 )
 from . import verdict as V
 
@@ -101,7 +102,7 @@ def is_positive_slope_map(G1: StationaryDimensionGroup, G2: StationaryDimensionG
     if H.rows != 2 or H.cols != 2 or H.det() not in (1, -1):
         return False
     w1, w2 = perron_slope(G1), perron_slope(G2)
-    if w1.d != w2.d:
+    if same_field_root(w1.d, w2.d) is None:
         return False
     u = w2 * H[1, 0] + H[0, 0]
     v = w2 * H[1, 1] + H[0, 1]

@@ -9,7 +9,6 @@ torsion generator of order e).  The free part of A contributes nothing.
 """
 from __future__ import annotations
 
-import itertools
 from math import gcd
 from typing import Callable, Sequence
 
@@ -77,19 +76,8 @@ class ExtGroup:
         s = self.block_size
         return tuple(coords[i * s: (i + 1) * s])
 
-    def elements(self):
-        for c in _tuples_mod(self.moduli):
-            yield self.element(c)
-
     def __repr__(self) -> str:
         return f"ExtGroup({self.source} by {self.target}: {self.group})"
-
-
-def _tuples_mod(moduli):
-    if not moduli:
-        yield ()
-        return
-    yield from itertools.product(*(range(max(m, 1)) for m in moduli))
 
 
 class ExtElement:

@@ -24,7 +24,7 @@ PURELY_INFINITE = "purely_infinite"
 UNSUPPORTED = "unsupported"
 
 MAX_VERTICES = 20
-MAX_IDEALS = 2 ** 16
+MAX_IDEALS = 2**16
 
 
 class DirectedGraph:

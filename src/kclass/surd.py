@@ -1,62 +1,37 @@
 """Exact arithmetic for real quadratic irrationals and continued fractions.
 
-Values are stored as (a + b*sqrt(d))/c with integer a, b, c and d
-squarefree.  The canonical form has c > 0, gcd(a, b, c) = 1, and d = 1
-exactly when the value is rational (then b = 0).  Rational values are
-representable so that intermediate arithmetic stays closed, but the
+Values are stored as (a + b*sqrt(d))/c with integer a, b, c and the
+radicand d they were written with; d is never factored.  The stored form
+has c > 0 and gcd(a, b, c) = 1, and d = 1 exactly when the value is
+rational (then b = 0): a perfect-square d is folded into a.  Equality
+and hashing read a key that does not depend on the radicand, so equal
+values written over different radicands compare equal.  Rational values
+are representable so that intermediate arithmetic stays closed, but the
 continued-fraction entry points insist on irrational input.
 """
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from math import gcd, isqrt
 
 from .matrix import IntMatrix, unimodular_inverse
 
-
-_TRIAL_BOUND = 10 ** 5
-# A cofactor with no prime factor up to _TRIAL_BOUND and below this
-# limit has at most two prime factors (100003**3 > 10**15): it is p, pq
-# or p*p, and isqrt tells them apart.
-_COFACTOR_LIMIT = 10 ** 15
+CF_STEPS = 10**4   # continued-fraction digits expanded before giving up
 
 
-def _squarefree_decompose(d: int) -> tuple[int, int]:
-    """d = s*s * d0 with d0 squarefree; returns (s, d0).
+def same_field_root(d1: int, d2: int) -> int | None:
+    """isqrt(d1*d2) when d1*d2 is a perfect square, else None.
 
-    Trial division is capped at _TRIAL_BOUND.  The leftover cofactor is
-    classified exactly below _COFACTOR_LIMIT; a larger one that is not a
-    perfect square raises ValueError, since it may hide a square factor.
+    sqrt(d1) and sqrt(d2) span the same field exactly when d1*d2 is a
+    square r*r, and then sqrt(d2) = r*sqrt(d1)/d1.
     """
-    s = 1
-    d0 = 1
-    n = d
-    p = 2
-    while p * p <= n and p <= _TRIAL_BOUND:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                d0 *= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        r = isqrt(n)
-        if r * r == n:
-            s *= r
-        elif n >= _COFACTOR_LIMIT:
-            raise ValueError(f"unsupported radicand {d}: its cofactor {n} has no "
-                             f"prime factor up to {_TRIAL_BOUND} and is too large "
-                             "to prove squarefree")
-        else:
-            d0 *= n
-    return s, d0
+    r = isqrt(d1 * d2)
+    return r if r * r == d1 * d2 else None
 
 
 class QuadraticIrrational:
-    """Canonical (a + b*sqrt(d))/c, exact throughout."""
+    """(a + b*sqrt(d))/c over its own radicand, exact throughout."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -65,14 +40,11 @@ class QuadraticIrrational:
             raise ValueError("zero denominator")
         if d < 1:
             raise ValueError("radicand must be >= 1")
-        if b:
-            s, d0 = _squarefree_decompose(d)
-            b *= s
-            d = d0
-            if d == 1:
-                a += b
-                b = 0
-        else:
+        r = isqrt(d)
+        if r * r == d:
+            a += b * r
+            b, d = 0, 1
+        elif not b:
             d = 1
         if c < 0:
             a, b, c = -a, -b, -c
@@ -93,8 +65,12 @@ class QuadraticIrrational:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+    def key(self) -> tuple[Fraction, int, Fraction]:
+        """(a/c, sign of b, b*b*d/(c*c)).  The value is a/c plus the signed
+        root of the last entry, which is irrational unless b = 0, so equal
+        values have equal keys whatever radicands they are written with."""
+        return (Fraction(self.a, self.c), (self.b > 0) - (self.b < 0),
+                Fraction(self.b * self.b * self.d, self.c * self.c))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -104,10 +80,16 @@ class QuadraticIrrational:
     def __hash__(self) -> int:
         return hash(self.key())
 
-    def _common_d(self, other: "QuadraticIrrational") -> int:
-        if self.b and other.b and self.d != other.d:
+    def _over_common_radicand(self, other: "QuadraticIrrational") -> tuple[int, int, int, int]:
+        """(d, a2, b2, c2) with other = (a2 + b2*sqrt(d))/c2, where d is the
+        radicand of self, or of other when self is rational."""
+        if not self.b or not other.b:
+            return self.d if self.b else other.d, other.a, other.b, other.c
+        d = self.d
+        r = same_field_root(d, other.d)
+        if r is None:
             raise ValueError("values live in different quadratic fields")
-        return self.d if self.b else other.d
+        return d, other.a * d, other.b * r, other.c * d
 
     @staticmethod
     def _coerce(x):
@@ -121,10 +103,10 @@ class QuadraticIrrational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self._common_d(other)
-        a = self.a * other.c + other.a * self.c
-        b = self.b * other.c + other.b * self.c
-        return QuadraticIrrational(a, b, self.c * other.c, d)
+        d, a2, b2, c2 = self._over_common_radicand(other)
+        a = self.a * c2 + a2 * self.c
+        b = self.b * c2 + b2 * self.c
+        return QuadraticIrrational(a, b, self.c * c2, d)
 
     __radd__ = __add__
 
@@ -132,10 +114,10 @@ class QuadraticIrrational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self._common_d(other)
-        a = self.a * other.a + self.b * other.b * d
-        b = self.a * other.b + self.b * other.a
-        return QuadraticIrrational(a, b, self.c * other.c, d)
+        d, a2, b2, c2 = self._over_common_radicand(other)
+        a = self.a * a2 + self.b * b2 * d
+        b = self.a * b2 + self.b * a2
+        return QuadraticIrrational(a, b, self.c * c2, d)
 
     __rmul__ = __mul__
 
@@ -212,13 +194,13 @@ def mobius_apply(M: IntMatrix, x: QuadraticIrrational) -> QuadraticIrrational:
     return num * den.reciprocal()
 
 
-def cf_expansion(x: QuadraticIrrational, max_steps: int = 10 ** 4) -> tuple[list[int], list[int]]:
+def cf_expansion(x: QuadraticIrrational) -> tuple[list[int], list[int]]:
     """Exact continued fraction (preperiod, minimal period).
 
     Writes x = (P + sqrt(D))/Q with Q | D - P*P and steps P <- qQ - P,
     Q <- (D - P*P)/Q for each digit q on integers.  D is fixed, so the
     first repeated (P, Q) closes the minimal period.  Raises ValueError
-    naming ``max_steps`` when no state repeats within that many digits.
+    naming ``CF_STEPS`` when no state repeats within that many digits.
     """
     if x.is_rational:
         raise ValueError("continued fraction of a rational: not supported here")
@@ -229,7 +211,7 @@ def cf_expansion(x: QuadraticIrrational, max_steps: int = 10 ** 4) -> tuple[list
     r = isqrt(D)
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
-    for k in range(max_steps):
+    for k in range(CF_STEPS):
         j = seen.setdefault((P, Q), k)
         if j != k:
             return digits[:j], digits[j:]
@@ -238,7 +220,7 @@ def cf_expansion(x: QuadraticIrrational, max_steps: int = 10 ** 4) -> tuple[list
         digits.append(q)
         P = q * Q - P
         Q = (D - P * P) // Q
-    raise ValueError(f"continued fraction did not close within max_steps={max_steps}")
+    raise ValueError(f"continued fraction did not close within CF_STEPS={CF_STEPS} digits")
 
 
 def digit_matrix(q: int) -> IntMatrix:
@@ -258,7 +240,7 @@ def _period_match(x: QuadraticIrrational, y: QuadraticIrrational):
     continued fractions of x and y have no common tail."""
     if x.is_rational or y.is_rational:
         raise ValueError("inputs must be irrational")
-    if x.d != y.d:
+    if same_field_root(x.d, y.d) is None:
         return None
     pre1, per1 = cf_expansion(x)
     pre2, per2 = cf_expansion(y)

@@ -20,8 +20,14 @@ def mobius_equivalent_bruteforce(x: QuadraticIrrational, y: QuadraticIrrational,
     the full entry box without enumerating it.  Returns a witness matrix
     with determinant +-1, or None.
     """
-    if x.d != y.d:
-        return None  # integral maps preserve the quadratic field
+    # integral maps preserve the quadratic field: sqrt(x.d) and sqrt(y.d)
+    # span one field exactly when x.d * y.d is a perfect square root**2,
+    # and then sqrt(y.d) = root * sqrt(x.d) / x.d writes y over x's
+    # radicand, so that the solve below can read w.b against x.b
+    root = math.isqrt(x.d * y.d)
+    if root * root != x.d * y.d:
+        return None
+    y = QuadraticIrrational(y.a * x.d, y.b * root, y.c * x.d, x.d)
     a, b, c = x.a, x.b, x.c
     for r in range(-bound, bound + 1):
         for s in range(-bound, bound + 1):
@@ -215,18 +221,11 @@ def af_path_counts_bruteforce(g) -> list[list[int]]:
     return [[counts[v][s] for v in range(g.n)] for s in range(len(sinks))]
 
 
-def squarefree_decompose_bruteforce(d: int) -> tuple[int, int]:
-    """(s, d0) with d = s*s * d0 and d0 squarefree, by full trial division."""
-    s, d0, n, p = 1, 1, d, 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        s *= p ** (e // 2)
-        d0 *= p ** (e % 2)
-        p += 1
-    return s, d0 * n
+def ext_elements(E):
+    """Every element of an Ext group, by enumerating its reduced
+    coordinates (a zero modulus stands for the single value 0)."""
+    for coords in itertools.product(*(range(max(m, 1)) for m in E.moduli)):
+        yield E.element(coords)
 
 
 def conjugating_permutation_bruteforce(rows1, rows2) -> list[int] | None:

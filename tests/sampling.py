@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 
-from .matrix import IntMatrix
-from .groups import FgAbelianGroup, GroupHom
-from .ext import ext1, realize_extension
-from .graphalg import DirectedGraph, one_ideal_invariant, one_ideal_parts
-from .sixterm import (SixTermInvariant, all_positive_cone, standard_free_cone,
+from kclass.matrix import IntMatrix
+from kclass.groups import FgAbelianGroup, GroupHom
+from kclass.ext import ext1, realize_extension
+from kclass.graphalg import DirectedGraph, one_ideal_invariant, one_ideal_parts
+from kclass.sixterm import (SixTermInvariant, all_positive_cone, standard_free_cone,
                       unordered_cone, NODES, MAP_KEYS)
 
 

@@ -14,6 +14,7 @@ from math import gcd
 
 from oracles import (cyclic_quotient_order, det_bareiss, minor_gcd,
                      mobius_equivalent_bruteforce)
+from sampling import invariant_corpus, random_one_ideal_graph
 
 from kclass.cli import main
 from kclass.dimgroup import SubstitutionInvariant, compare_substitution_invariants
@@ -22,7 +23,6 @@ from kclass.graphalg import (DirectedGraph, hereditary_saturated_sets,
                              one_ideal_invariant)
 from kclass.groups import FgAbelianGroup, GroupHom
 from kclass.matrix import IntMatrix, snf
-from kclass.sampling import invariant_corpus, random_one_ideal_graph
 from kclass.sixterm import (SixTermInvariant, all_positive_cone, decide_iso_one_ideal,
                             standard_free_cone, unordered_cone, validate_sixterm,
                             verify_witness)

@@ -1,5 +1,4 @@
 """End-to-end tests of the command line interface."""
-import functools
 import json
 import os
 import shutil
@@ -282,6 +281,29 @@ def test_parse_errors_exit_2(capsys, tmp_path):
         assert (rc, out, err) == (2, "", expected)
 
 
+OVERSIZED_JSON = {
+    # past the interpreter's 4,300-digit limit on converting a string to int
+    "long_integer": "[[" + "7" * 5000 + "]]",
+    # deeper than the decoder's recursion limit
+    "deep_nesting": "[" * 200000 + "]" * 200000,
+}
+
+
+@pytest.mark.parametrize("payload", sorted(OVERSIZED_JSON))
+def test_oversized_json_exits_2(capsys, tmp_path, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(OVERSIZED_JSON[payload])
+    g = DirectedGraph(["v", "w"], IntMatrix([[4, 1], [0, 0]]))
+    good = dump(tmp_path / "good.json", one_ideal_invariant(g).to_json())
+    manifest = dump(tmp_path / "man.json", [["good.json", "bad.json"]])
+    for argv in (["snf", str(bad)], ["sixterm", "compare", good, str(bad)],
+                 ["sixterm", "compare", "--batch", manifest],
+                 ["sturmian", "compare", "--batch", str(bad)]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert "malformed JSON" in err and "Traceback" not in err
+
+
 def test_unsupported_inputs_exit_3(capsys, tmp_path):
     # rational value in a well-formed literal
     rc, _, err = run_cli(capsys, "sturmian", "compare", "sqrt(2)", "(1+2*sqrt(4))/3")
@@ -295,12 +317,25 @@ def test_unsupported_inputs_exit_3(capsys, tmp_path):
 
 
 def test_undecided_radicand_exits_3(capsys):
-    # 1000250012300171 = 100003**2 * 100019: both literals are one number
+    # 1000250012300171 = 100003**2 * 100019: both literals are one number,
+    # in one field by the square test, but the period of the continued
+    # fraction is longer than the step budget
     start = time.monotonic()
     rc, out, err = run_cli(capsys, "sturmian", "compare", "sqrt(1000250012300171)",
                            "100003*sqrt(100019)")
-    assert rc == 3 and out == "" and "unsupported radicand" in err
+    assert rc == 3 and out == "" and "CF_STEPS=10000" in err
     assert time.monotonic() - start < 1.0
+
+
+def test_large_radicand_is_compared_without_factoring(capsys):
+    # D = (10**8 + 2)**2 + 1 leaves a cofactor above 10**15 after trial
+    # division to 10**5, and sqrt(D) has a continued fraction of period 1
+    d = 10000000400000005
+    rc, out, err = run_cli(capsys, "sturmian", "compare", f"sqrt({d})", f"1+1*sqrt({d})")
+    assert (rc, json.loads(out), err) == (0, {"verdict": "isomorphic"}, "")
+    # a different field, told apart by the square test before any expansion
+    rc, out, err = run_cli(capsys, "sturmian", "compare", f"sqrt({d})", f"sqrt({d + 1})")
+    assert (rc, json.loads(out)["verdict"], err) == (0, "not_isomorphic", "")
 
 
 def test_cf_budget_exhaustion_exits_3(capsys, monkeypatch):
@@ -309,13 +344,12 @@ def test_cf_budget_exhaustion_exits_3(capsys, monkeypatch):
     start = time.monotonic()
     rc, out, err = run_cli(capsys, "sturmian", "compare", "sqrt(999999937)",
                            "1+1*sqrt(999999937)")
-    assert rc == 3 and out == "" and "max_steps=10000" in err
+    assert rc == 3 and out == "" and "CF_STEPS=10000" in err
     assert time.monotonic() - start < 2.0
-    monkeypatch.setattr(kclass.surd, "cf_expansion",
-                        functools.partial(kclass.surd.cf_expansion, max_steps=5))
+    monkeypatch.setattr(kclass.surd, "CF_STEPS", 5)
     rc, out, err = run_cli(capsys, "sturmian", "compare", "sqrt(999999937)",
                            "2*sqrt(999999937)")
-    assert rc == 3 and out == "" and "max_steps=5" in err
+    assert rc == 3 and out == "" and "CF_STEPS=5" in err
 
 
 def test_ideal_lattice_budget_exits_3(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 import kclass.dimgroup
 from kclass.matrix import IntMatrix
-from kclass.surd import QuadraticIrrational
+from kclass.surd import QuadraticIrrational, same_field_root
 from kclass.dimgroup import (
     StationaryDimensionGroup,
     SubstitutionInvariant,
@@ -187,7 +187,7 @@ def test_order_iso_base_rejects_distinct_fields():
     G1 = fib_group()
     G2 = StationaryDimensionGroup(IntMatrix([[2, 1], [1, 0]]))
     w1, w2 = perron_slope(G1), perron_slope(G2)
-    assert w1.d == 5 and w2.d == 2
+    assert same_field_root(w1.d, w2.d) is None   # Q(sqrt(5)) against Q(sqrt(2))
     assert order_iso_base(G1, G2) is None
 
 
@@ -287,8 +287,9 @@ def test_compare_distinct_quadratic_fields():
 def test_compare_inequivalent_slopes_same_field():
     # golden-ratio slope against the period-four slope of sqrt(5) - 2
     A = IntMatrix([[4, 1], [1, 0]])
-    w = perron_slope(StationaryDimensionGroup(A))
-    assert w.d == 5
+    w, w_fib = perron_slope(StationaryDimensionGroup(A)), perron_slope(fib_group())
+    assert w.d == 20 and same_field_root(w.d, w_fib.d) == 10   # sqrt(20) = 2*sqrt(5)
+    assert w != w_fib and hash(w * w_fib) == hash(w_fib * w)
     inv1 = example_invariant([[1, 1]], FIB)
     inv2 = example_invariant([[1, 1]], A)
     verdict = compare_substitution_invariants(inv1, inv2)

@@ -5,9 +5,9 @@ import pytest
 
 from oracles import (af_path_counts_bruteforce, classify_simple_bruteforce,
                      hereditary_saturated_sets_bruteforce)
+from sampling import random_one_ideal_graph
 
 import kclass.graphalg
-import kclass.sampling
 
 from kclass.graphalg import (
     DirectedGraph, evaluate_subset, hereditary_saturated_sets,
@@ -129,7 +129,7 @@ def test_lattice_matches_bruteforce_on_sampled_graphs(monkeypatch):
     rng = random.Random(5)
     for max_vertices in (6, 10):
         for _ in range(40):
-            kclass.sampling.random_one_ideal_graph(rng, max_vertices=max_vertices)
+            random_one_ideal_graph(rng, max_vertices=max_vertices)
     assert len(checked) >= 200 and max(checked) == 10
 
 
@@ -332,7 +332,7 @@ def test_graph_moves_keep_the_invariant():
     rng = random.Random(2004)
     unknown = []
     for k in range(60):
-        g = kclass.sampling.random_one_ideal_graph(rng, max_vertices=5 if k % 2 else 7)
+        g = random_one_ideal_graph(rng, max_vertices=5 if k % 2 else 7)
         h = g
         for _ in range(rng.randint(1, 3)):
             h = random_move(h, rng)

@@ -20,9 +20,6 @@ SRC = ROOT / "src" / "kclass"
 ALLOWED = {
     "stationary_cone": "constructor of the stationary_dg cone, beside the other three",
 }
-ALLOWED_MODULES = {
-    "sampling.py": "seeded generators that the test suites draw from",
-}
 
 
 def public_definitions():
@@ -52,7 +49,7 @@ def test_every_public_function_is_named_elsewhere():
     unreached = []
     for path, fn, mention in public_definitions():
         defined.add(fn.name)
-        if fn.name in ALLOWED or path.name in ALLOWED_MODULES:
+        if fn.name in ALLOWED:
             continue
         if not any(mention.search(line) for p, i, line in lines
                    if (p, i) != (path, fn.lineno)):

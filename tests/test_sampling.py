@@ -1,10 +1,10 @@
 """Generators used by the randomized suites stay valid and reproducible."""
 import random
 
+from sampling import (invariant_corpus, random_finite_group, random_group,
+                      random_matrix, random_one_ideal_graph, random_valid_invariant)
+
 from kclass.graphalg import hereditary_saturated_sets
-from kclass.sampling import (invariant_corpus, random_finite_group, random_group,
-                             random_matrix, random_one_ideal_graph,
-                             random_valid_invariant)
 from kclass.sixterm import validate_sixterm
 
 

@@ -1,5 +1,4 @@
 """Six-term invariants: validation, witnesses, and the decision procedure."""
-import functools
 import itertools
 import json
 import random
@@ -8,6 +7,7 @@ from collections import Counter
 
 import pytest
 from oracles import sixterm_iso_bruteforce
+from sampling import invariant_corpus, random_valid_invariant
 
 import kclass.sixterm
 import kclass.surd
@@ -21,7 +21,6 @@ from kclass.sixterm import (
     NODES, MAP_KEYS,
 )
 from kclass.autgroups import aut_generators, subgroup_closure
-from kclass.sampling import invariant_corpus, random_valid_invariant
 
 Z = FgAbelianGroup(1, ())
 Z2 = FgAbelianGroup(0, (2,))
@@ -311,8 +310,7 @@ def test_cones_beyond_the_rank2_engine_are_unsupported_everywhere():
 def test_slope_past_its_cf_budget_is_unknown(monkeypatch):
     """The slope of [[1,1],[46,1]] is 1/sqrt(46), whose continued fraction
     has period 12: past a 5-digit budget the decision is unknown."""
-    monkeypatch.setattr(kclass.surd, "cf_expansion",
-                        functools.partial(kclass.surd.cf_expansion, max_steps=5))
+    monkeypatch.setattr(kclass.surd, "CF_STEPS", 5)
     s = stationary_end_hexagon(IntMatrix([[1, 1], [46, 1]]))
     v = decide_iso_one_ideal(s, s)
     assert v.status == "unknown"

@@ -3,18 +3,19 @@ import random
 
 import pytest
 
+import kclass.surd
 from kclass.matrix import IntMatrix
 from kclass.surd import (
     QuadraticIrrational,
-    _squarefree_decompose,
     cf_expansion,
     convergent_matrix,
     equivalence_witness,
     mobius_apply,
     parse_surd,
+    same_field_root,
     sturmian_equivalent,
 )
-from oracles import cf_value, mobius_equivalent_bruteforce, squarefree_decompose_bruteforce
+from oracles import cf_value, mobius_equivalent_bruteforce
 
 
 def surd(a, b, c, d):
@@ -25,12 +26,37 @@ GOLDEN_CONJ = surd(-1, 1, 2, 5)  # (sqrt(5)-1)/2
 
 
 def test_canonicalization():
+    # a value keeps the radicand it was written with; equality and hashing
+    # do not depend on it
     x = surd(2, 2, 4, 8)  # (2 + 2*sqrt(8))/4 = (1 + 2*sqrt(2))/2
-    assert (x.a, x.b, x.c, x.d) == (1, 2, 2, 2)
+    assert (x.a, x.b, x.c, x.d) == (1, 1, 2, 8)
+    assert x == surd(1, 2, 2, 2) and hash(x) == hash(surd(1, 2, 2, 2))
+    assert x != surd(1, -2, 2, 2) and x != surd(1, 2, 2, 3)
     y = surd(1, 1, -2, 5)
     assert (y.a, y.b, y.c, y.d) == (-1, -1, 2, 5)
+    assert surd(1, 1, 2, 20) == surd(1, 2, 2, 5)   # sqrt(20) = 2*sqrt(5)
+    assert hash(surd(1, 1, 2, 20)) == hash(surd(1, 2, 2, 5))
     z = surd(3, 2, 1, 9)  # sqrt(9) collapses: 3 + 6 = 9
-    assert z.is_rational and (z.a, z.c) == (9, 1)
+    assert z.is_rational and (z.a, z.c, z.d) == (9, 1, 1) and z == 9
+
+
+def test_same_field_root():
+    assert same_field_root(8, 2) == 4 and same_field_root(20, 5) == 10
+    assert same_field_root(7, 7) == 7
+    assert same_field_root(2, 3) is None and same_field_root(8, 12) is None
+    # 1000250012300171 = 100003**2 * 100019: one field, no factoring
+    assert same_field_root(1000250012300171, 100019) == 100003 * 100019
+
+
+def test_arithmetic_across_radicands():
+    r8, r2 = surd(0, 1, 1, 8), surd(0, 1, 1, 2)
+    assert r8 + r2 == surd(0, 3, 1, 2)
+    assert r8 * r2 == 4 and (r8 * r2).is_rational
+    assert r2 * r8 == 4
+    assert r8 * r8.reciprocal() == 1
+    assert (r8 + r2 * -2).sign() == 0
+    with pytest.raises(ValueError, match="different quadratic fields"):
+        r8 * surd(0, 1, 1, 12)
 
 
 def test_constructor_rejects_bad_input():
@@ -175,32 +201,26 @@ def oracle_pairs():
     return pairs
 
 
+# one field written over two radicands
+CROSS_RADICAND_PAIRS = [
+    (surd(1, 1, 2, 20), surd(1, 1, 1, 5)),    # (1+sqrt(20))/2 against 1+sqrt(5)
+    (surd(0, 1, 1, 8), surd(0, 2, 1, 2)),     # sqrt(8) against 2*sqrt(2)
+    (surd(1, 1, 2, 20), surd(3, 2, 2, 5)),    # x against x + 1 over sqrt(5)
+]
+
+
 def test_agreement_with_bruteforce_oracle():
-    for x, y in oracle_pairs():
+    for x, y in oracle_pairs() + CROSS_RADICAND_PAIRS:
         claimed = sturmian_equivalent(x, y)
         witness = mobius_equivalent_bruteforce(x, y)
         assert claimed == (witness is not None), (str(x), str(y))
+    assert [sturmian_equivalent(x, y) for x, y in CROSS_RADICAND_PAIRS] == [False, True, True]
 
 
-def test_squarefree_part_matches_bruteforce_oracle():
-    for d in range(1, 10 ** 4 + 1):
-        assert _squarefree_decompose(d) == squarefree_decompose_bruteforce(d)
-    p, q = 100003, 100019   # the two smallest primes above the trial bound
-    assert _squarefree_decompose(p * q) == squarefree_decompose_bruteforce(p * q)
-    assert _squarefree_decompose(p * p) == (p, 1)
-    assert _squarefree_decompose(p * p * q * q) == (p * q, 1)
-    # p*p*q passes 10**15 with no prime factor up to the bound: taking it
-    # as squarefree would be wrong, so it is refused
-    assert squarefree_decompose_bruteforce(p * p * q) == (p, q)
-    with pytest.raises(ValueError, match="unsupported radicand"):
-        _squarefree_decompose(p * p * q)
-    with pytest.raises(ValueError, match="unsupported radicand"):
-        parse_surd(f"sqrt({p * p * q})")
-    assert parse_surd(f"{p}*sqrt({q})") == surd(0, p, 1, q)
-
-
-def test_cf_step_budget_raises_value_error():
+def test_cf_step_budget_raises_value_error(monkeypatch):
     root46 = surd(0, 1, 1, 46)   # preperiod [6], period of length 12
-    with pytest.raises(ValueError, match="max_steps=13"):
-        cf_expansion(root46, max_steps=13)
-    assert len(cf_expansion(root46, max_steps=14)[1]) == 12
+    monkeypatch.setattr(kclass.surd, "CF_STEPS", 13)
+    with pytest.raises(ValueError, match="CF_STEPS=13"):
+        cf_expansion(root46)
+    monkeypatch.setattr(kclass.surd, "CF_STEPS", 14)
+    assert len(cf_expansion(root46)[1]) == 12
