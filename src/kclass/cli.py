@@ -21,7 +21,7 @@ from .groups import FgAbelianGroup
 from .matrix import IntMatrix, snf
 from .sixterm import (NotExactError, SixTermInvariant, UnsupportedConeError,
                       _group_from_json, _group_json, decide_iso_one_ideal)
-from .surd import parse_surd, sturmian_equivalent
+from .surd import int_literal, parse_surd, sturmian_equivalent
 
 PARSE_ERROR = 2
 UNSUPPORTED = 3
@@ -38,12 +38,13 @@ class CliError(Exception):
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=int_literal)
     except OSError as exc:
         raise CliError(PARSE_ERROR, f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers past the
-        # interpreter's digit limit; RecursionError, nesting too deep
+        # interpreter's digit limit (``int_literal`` names both counts);
+        # RecursionError, nesting too deep
         raise CliError(PARSE_ERROR, f"malformed JSON in {path}: {exc}") from exc
 
 

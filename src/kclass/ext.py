@@ -6,22 +6,21 @@ aligned to the torsion generators of A: block i is a vector over the
 canonical generators of B, with each coordinate reduced modulo the
 block modulus (d_i against a free generator of B, gcd(d_i, e) against a
 torsion generator of order e).  The free part of A contributes nothing.
+
+The induced maps are Kronecker matrices on these block coordinates:
+pushing along beta: B1 -> B2 applies I_k (x) beta to the k blocks, and
+pulling along alpha: A1 -> A2 applies chain^T (x) I_s, where chain is the
+map that alpha induces on the torsion relation lattices and s is the
+number of generators of B.  ``extension_class`` expects an exact
+sequence and does not prove exactness again.
 """
 from __future__ import annotations
 
 from math import gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .matrix import IntMatrix, solve
-from .groups import (
-    FgAbelianGroup,
-    GroupHom,
-    Presentation,
-    cokernel,
-    is_exact_pair,
-    kernel,
-    relation_matrix,
-)
+from .matrix import IntMatrix, identity_rows, kron, solve
+from .groups import FgAbelianGroup, GroupHom, Presentation, relation_matrix
 
 
 class ExtGroup:
@@ -99,9 +98,6 @@ class ExtElement:
     def __hash__(self) -> int:
         return hash((self.group, self.coords))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def __repr__(self) -> str:
         return f"ExtElement({self.coords} in {self.group.group})"
 
@@ -114,33 +110,26 @@ def ext1(source: FgAbelianGroup, target: FgAbelianGroup) -> ExtGroup:
 def extension_class(incl: GroupHom, proj: GroupHom) -> ExtElement:
     """Class of a short exact sequence 0 -> B -> G -> A -> 0.
 
-    ``incl`` is B -> G and ``proj`` is G -> A.  The class is measured by
-    lifting each torsion generator a of A to g in G and expressing
-    (order of a) * g as an element of B.  With this convention the
-    sequence 0 -> Z -(m)-> Z -> Z/m -> 0 has class +1 times the
-    canonical generator.
+    ``incl`` is B -> G and ``proj`` is G -> A, and the sequence must be
+    exact: that is not checked here (a six-term invariant is proved
+    exact when it is built, and ``realize_extension`` is exact by
+    construction).  The class is measured by lifting each torsion
+    generator a of A to g in G and expressing (order of a) * g as an
+    element of B.  With this convention the sequence
+    0 -> Z -(m)-> Z -> Z/m -> 0 has class +1 times the canonical
+    generator.
     """
     B, G, A = incl.domain, incl.codomain, proj.codomain
     if incl.codomain != proj.domain:
         raise ValueError("maps are not composable")
-    K, _ = kernel(incl)
-    if not K.is_trivial():
-        raise ValueError("not exact: inclusion has a kernel")
-    C, _ = cokernel(proj)
-    if not C.is_trivial():
-        raise ValueError("not exact: projection is not surjective")
-    if not is_exact_pair(incl, proj):
-        raise ValueError("not exact at the middle group")
 
     E = ExtGroup(A, B)
     rel_g = relation_matrix(G)
     rel_a = relation_matrix(A)
+    units = identity_rows(A.ngens)
     coords: list[int] = []
     for i, d in enumerate(A.torsion):
-        a_idx = A.free_rank + i
-        target_vec = [0] * A.ngens
-        target_vec[a_idx] = 1
-        lifted = _solve_mod(proj.matrix, rel_a, target_vec)
+        lifted = _solve_mod(proj.matrix, rel_a, units[A.free_rank + i])
         if lifted is None:
             raise ValueError("projection failed to lift a generator")
         scaled = [d * x for x in lifted]
@@ -178,71 +167,36 @@ def realize_extension(x: ExtElement) -> tuple[FgAbelianGroup, GroupHom, GroupHom
         col[B.free_rank + j] = e
         cols.append(col)
     for i, d in enumerate(A.torsion):
-        col = [0] * n
+        col = [-c for c in E.block(x.coords, i)] + [0] * na
         col[nb + A.free_rank + i] = d
-        blk = E.block(x.coords, i)
-        for j in range(nb):
-            col[j] = -blk[j]
         cols.append(col)
     pres = Presentation(IntMatrix.from_columns(cols, rows=n))
     G = pres.group
-    incl_cols = []
-    for j in range(nb):
-        e = [0] * n
-        e[j] = 1
-        incl_cols.append(pres.project(e))
+    incl_cols = [pres.project(e) for e in identity_rows(n)[:nb]]
     incl = GroupHom(B, G, IntMatrix.from_columns(incl_cols, rows=G.ngens))
-    proj_cols = []
-    for i in range(G.ngens):
-        amb = pres.lift(i)
-        proj_cols.append(A.reduce(amb[nb:]))
+    proj_cols = [A.reduce(pres.lift(i)[nb:]) for i in range(G.ngens)]
     proj = GroupHom(G, A, IntMatrix.from_columns(proj_cols, rows=A.ngens))
     return G, incl, proj
 
 
-def _chain_matrix(alpha: GroupHom) -> list[list[int]]:
-    """Matrix of the induced map on torsion relation lattices.
+def _pull_matrix(alpha: GroupHom, s: int) -> IntMatrix:
+    """chain^T (x) I_s: Ext(A2, B) -> Ext(A1, B) on block coordinates,
+    for alpha: A1 -> A2 and B with s generators.
 
-    For alpha: A1 -> A2 the entry [j][i] is d1_i * alpha[row j][col i] / d2_j,
-    which is an integer exactly because alpha is a homomorphism.
+    chain is the induced map on torsion relation lattices: its entry
+    [j][i] is d1_i * alpha[row j][col i] / d2_j, an integer exactly
+    because alpha is a homomorphism.
     """
     A1, A2 = alpha.domain, alpha.codomain
-    out = []
-    for j, d2 in enumerate(A2.torsion):
-        row = []
-        r = A2.free_rank + j
-        for i, d1 in enumerate(A1.torsion):
-            c = A1.free_rank + i
-            num = d1 * alpha.matrix[r, c]
-            row.append(num // d2)
-        out.append(row)
-    return out
+    chain_t = [[d1 * alpha.matrix[A2.free_rank + j, A1.free_rank + i] // d2
+                for j, d2 in enumerate(A2.torsion)]
+               for i, d1 in enumerate(A1.torsion)]
+    return IntMatrix(kron(chain_t, identity_rows(s)), cols=len(A2.torsion) * s)
 
 
-def _pull_blocks(chain: list[list[int]], coords: Sequence[int], s: int,
-                 nblocks: int) -> list[int]:
-    """Unreduced block coordinates pulled back along a chain matrix:
-    output block i is the sum over j of chain[j][i] times block j."""
-    out: list[int] = []
-    for i in range(nblocks):
-        acc = [0] * s
-        for j, row in enumerate(chain):
-            c = row[i]
-            if c:
-                base = j * s
-                for t in range(s):
-                    acc[t] += c * coords[base + t]
-        out.extend(acc)
-    return out
-
-
-def _push_blocks(mat: IntMatrix, coords: Sequence[int], s: int,
-                 nblocks: int) -> list[int]:
-    """Unreduced block coordinates with ``mat`` applied to every block."""
-    out: list[int] = []
-    for i in range(nblocks):
-        out.extend(mat.apply(coords[i * s: (i + 1) * s]))
-    return out
+def _push_matrix(beta: GroupHom, k: int) -> IntMatrix:
+    """I_k (x) beta: Ext(A, B1) -> Ext(A, B2) on the k blocks."""
+    return IntMatrix(kron(identity_rows(k), beta.matrix.data), cols=k * beta.domain.ngens)
 
 
 def pull_element(alpha: GroupHom, x: ExtElement) -> ExtElement:
@@ -251,8 +205,7 @@ def pull_element(alpha: GroupHom, x: ExtElement) -> ExtElement:
     if alpha.codomain != E.source:
         raise ValueError("alpha must land in the source of the Ext group")
     target_ext = ExtGroup(alpha.domain, E.target)
-    return target_ext.element(_pull_blocks(_chain_matrix(alpha), x.coords,
-                                           E.block_size, target_ext.nblocks))
+    return target_ext.element(_pull_matrix(alpha, E.block_size).apply(x.coords))
 
 
 def push_element(beta: GroupHom, x: ExtElement) -> ExtElement:
@@ -261,28 +214,24 @@ def push_element(beta: GroupHom, x: ExtElement) -> ExtElement:
     if beta.domain != E.target:
         raise ValueError("beta must start at the target of the Ext group")
     target_ext = ExtGroup(E.source, beta.codomain)
-    return target_ext.element(_push_blocks(beta.matrix, x.coords,
-                                           E.block_size, E.nblocks))
+    return target_ext.element(_push_matrix(beta, E.nblocks).apply(x.coords))
 
 
 def _induced_steps(E: ExtGroup, source_auts: Sequence[GroupHom],
-                   target_auts: Sequence[GroupHom]) -> list[tuple[str, int, Callable]]:
-    s, nb = E.block_size, E.nblocks
-    steps: list[tuple[str, int, Callable]] = []
+                   target_auts: Sequence[GroupHom]) -> list[tuple[str, int, IntMatrix]]:
+    steps: list[tuple[str, int, IntMatrix]] = []
     for i, alpha in enumerate(source_auts):
         if alpha.domain != E.source or alpha.codomain != E.source:
             raise ValueError("source automorphism acts on the wrong group")
         if not alpha.is_isomorphism():
             raise ValueError("source generator is not an automorphism")
-        steps.append(("pull", i, lambda coords, chain=_chain_matrix(alpha):
-                      E.reduce(_pull_blocks(chain, coords, s, nb))))
+        steps.append(("pull", i, _pull_matrix(alpha, E.block_size)))
     for i, beta in enumerate(target_auts):
         if beta.domain != E.target or beta.codomain != E.target:
             raise ValueError("target automorphism acts on the wrong group")
         if not beta.is_isomorphism():
             raise ValueError("target generator is not an automorphism")
-        steps.append(("push", i, lambda coords, mat=beta.matrix:
-                      E.reduce(_push_blocks(mat, coords, s, nb))))
+        steps.append(("push", i, _push_matrix(beta, E.nblocks)))
     return steps
 
 
@@ -307,8 +256,8 @@ def orbit_search(E: ExtGroup, x1: ExtElement, x2: ExtElement,
     while frontier:
         new: list[tuple[int, ...]] = []
         for c in frontier:
-            for kind, idx, fn in steps:
-                nc = fn(c)
+            for kind, idx, M in steps:
+                nc = E.reduce(M.apply(c))
                 if nc in seen:
                     continue
                 seen[nc] = (c, kind, idx)

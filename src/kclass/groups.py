@@ -16,7 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .matrix import IntMatrix, preimage_lattice, snf, solve, unimodular_inverse
+from .matrix import (IntMatrix, identity_rows, kron, preimage_lattice, snf, solve,
+                     unimodular_inverse)
 
 
 @dataclass(frozen=True)
@@ -251,11 +252,7 @@ def cokernel(f: GroupHom) -> tuple[FgAbelianGroup, GroupHom]:
     H = f.codomain
     pres = Presentation(IntMatrix.hstack(f.matrix, relation_matrix(H)))
     C = pres.group
-    cols = []
-    for i in range(H.ngens):
-        e = [0] * H.ngens
-        e[i] = 1
-        cols.append(pres.project(e))
+    cols = [pres.project(e) for e in identity_rows(H.ngens)]
     proj = GroupHom(H, C, IntMatrix.from_columns(cols, rows=C.ngens))
     return C, proj
 
@@ -295,34 +292,26 @@ def solve_hom_equations(
     orders.  Returns one solution or None.  Any solution is automatically
     a well defined homomorphism.
     """
-    nu = codomain.ngens * domain.ngens
-    cod_orders = codomain.gen_orders
-    dom_orders = domain.gen_orders
+    ncod, ndom = codomain.ngens, domain.ngens
+    nu = ncod * ndom  # H flattened row by row: entry (u, v) is unknown u * ndom + v
 
     rows: list[list[int]] = []
     rhs: list[int] = []
     slack_mods: list[int] = []
 
-    def unknown(u: int, v: int) -> int:
-        return u * domain.ngens + v
-
-    def add_row(coeffs: dict[int, int], target: int, modulus: int) -> None:
-        row = [0] * nu
-        for k, c in coeffs.items():
-            row[k] = c
-        rows.append(row)
-        rhs.append(target)
-        slack_mods.append(modulus)
-
-    for v, o in enumerate(dom_orders):
+    # a generator v of order o > 0 goes to an element of order dividing o:
+    # o H[u, v] = 0 modulo the order d of generator u, or H[u, v] = 0 if d = 0
+    for v, o in enumerate(domain.gen_orders):
         if o == 0:
             continue
-        for u, d in enumerate(cod_orders):
-            if d == 0:
-                add_row({unknown(u, v): 1}, 0, 0)
-            else:
-                add_row({unknown(u, v): o}, 0, d)
+        for u, d in enumerate(codomain.gen_orders):
+            row = [0] * nu
+            row[u * ndom + v] = o if d else 1
+            rows.append(row)
+            rhs.append(0)
+            slack_mods.append(d)
 
+    # entry (r, c) of P H Q is row (r, c) of P (x) Q^T applied to H
     for P, Q, target in equations:
         X = P.codomain if P is not None else codomain
         Y = Q.domain if Q is not None else domain
@@ -332,36 +321,21 @@ def solve_hom_equations(
             raise ValueError("pre-map codomain mismatch")
         if target.rows != X.ngens or target.cols != Y.ngens:
             raise ValueError("equation target has wrong shape")
-        for r in range(X.ngens):
-            mod = X.gen_orders[r]
-            for c in range(Y.ngens):
-                coeffs: dict[int, int] = {}
-                for u in range(codomain.ngens):
-                    pu = P.matrix[r, u] if P is not None else (1 if r == u else 0)
-                    if pu == 0:
-                        continue
-                    for v in range(domain.ngens):
-                        qv = Q.matrix[v, c] if Q is not None else (1 if v == c else 0)
-                        if qv == 0:
-                            continue
-                        k = unknown(u, v)
-                        coeffs[k] = coeffs.get(k, 0) + pu * qv
-                add_row(coeffs, target[r, c], mod)
+        p_rows = P.matrix.data if P is not None else identity_rows(ncod)
+        q_cols = ([Q.matrix.column(c) for c in range(Y.ngens)] if Q is not None
+                  else identity_rows(ndom))
+        rows.extend(kron(p_rows, q_cols))
+        for r, mod in enumerate(X.gen_orders):
+            rhs.extend(target.row(r))
+            slack_mods.extend([mod] * Y.ngens)
 
-    nslack = sum(1 for m in slack_mods if m)
-    full = []
-    si = 0
-    for row, m in zip(rows, slack_mods):
-        srow = [0] * nslack
-        if m:
-            srow[si] = m
-            si += 1
-        full.append(row + srow)
-    system = IntMatrix(full, cols=nu + nslack)
+    # one slack column per row with a modulus, holding that modulus
+    slack = [i for i, m in enumerate(slack_mods) if m]
+    system = IntMatrix([row + [slack_mods[i] if i == k else 0 for k in slack]
+                        for i, row in enumerate(rows)], cols=nu + len(slack))
     sol = solve(system, rhs)
     if sol is None:
         return None
     entries = sol[:nu]
-    mat = IntMatrix([[entries[unknown(u, v)] for v in range(domain.ngens)]
-                     for u in range(codomain.ngens)], cols=domain.ngens)
+    mat = IntMatrix([entries[u * ndom:(u + 1) * ndom] for u in range(ncod)], cols=ndom)
     return GroupHom(domain, codomain, mat)

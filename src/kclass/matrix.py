@@ -10,8 +10,18 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
-def _identity_rows(n: int) -> list[list[int]]:
+def identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def kron(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Rows of the Kronecker product of two matrices given by their rows.
+
+    Row (i, k) is row i of a times row k of b, entry (j, l) being
+    a[i][j] * b[k][l]; pairs run in row-major order.  So a linear map
+    X -> A X B on matrices flattened row by row is kron(A, transpose(B)).
+    """
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
 
 class IntMatrix:
@@ -55,7 +65,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
-        return cls(_identity_rows(n), cols=n)
+        return cls(identity_rows(n), cols=n)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> IntMatrix:
@@ -116,16 +126,8 @@ class IntMatrix:
         return IntMatrix([[a + b for a, b in zip(ra, rb)]
                           for ra, rb in zip(self.data, other.data)], cols=self.cols)
 
-    def __sub__(self, other: IntMatrix) -> IntMatrix:
-        self._same_shape(other)
-        return IntMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.data, other.data)], cols=self.cols)
-
     def __neg__(self) -> IntMatrix:
         return IntMatrix([[-a for a in r] for r in self.data], cols=self.cols)
-
-    def __rmul__(self, scalar: int) -> IntMatrix:
-        return IntMatrix([[scalar * a for a in r] for r in self.data], cols=self.cols)
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
@@ -221,8 +223,8 @@ def snf(M: IntMatrix) -> SmithDecomposition:
     """
     m, n = M.rows, M.cols
     a = M.to_lists()
-    u = _identity_rows(m)
-    v = _identity_rows(n)
+    u = identity_rows(m)
+    v = identity_rows(n)
 
     def row_sub(i: int, k: int, q: int) -> None:
         # row i -= q * row k, mirrored on U

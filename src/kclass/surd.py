@@ -12,6 +12,7 @@ continued-fraction entry points insist on irrational input.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -155,6 +156,17 @@ _BARE = re.compile(
 _ROOT = re.compile(r"^(-?)\s*sqrt\(\s*(\d+)\s*\)$")
 
 
+def int_literal(text: str) -> int:
+    """int(text) for a decimal literal, with a ValueError that names the
+    digit count and the interpreter's limit when it is past that limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"an integer of {len(text.lstrip('+-')):,} digits is past the "
+                         f"{sys.get_int_max_str_digits():,}-digit limit on reading "
+                         "integers") from None
+
+
 def parse_surd(text: str) -> QuadraticIrrational:
     """Parse "(a+b*sqrt(d))/c" and the obvious abbreviations.
 
@@ -166,20 +178,21 @@ def parse_surd(text: str) -> QuadraticIrrational:
     m = _FULL.match(s)
     if m:
         a, sgn, b, d, c = m.groups()
-        val = QuadraticIrrational(int(a), int(b) if sgn == "+" else -int(b),
-                                  int(c) if c is not None else 1, int(d))
+        b = int_literal(b)
+        val = QuadraticIrrational(int_literal(a), b if sgn == "+" else -b,
+                                  int_literal(c) if c is not None else 1, int_literal(d))
     else:
         m = _BARE.match(s)
         if m:
             a, sgn, b, d = m.groups()
-            b = int(b) if sgn in (None, "+") else -int(b)
-            val = QuadraticIrrational(int(a) if a is not None else 0, b, 1, int(d))
+            b = int_literal(b) if sgn in (None, "+") else -int_literal(b)
+            val = QuadraticIrrational(int_literal(a) if a is not None else 0, b, 1, int_literal(d))
         else:
             m = _ROOT.match(s)
             if not m:
                 raise ValueError(f"cannot parse quadratic irrational: {text!r}")
             neg, d = m.groups()
-            val = QuadraticIrrational(0, -1 if neg else 1, 1, int(d))
+            val = QuadraticIrrational(0, -1 if neg else 1, 1, int_literal(d))
     if val.is_rational:
         raise ValueError(f"not irrational: {text!r}")
     return val

@@ -142,6 +142,20 @@ def is_exact_pair_bruteforce(f, g) -> bool:
     return image == {y for y in g.domain.elements() if g(y) == zero}
 
 
+def homs_bruteforce(G, H) -> list[GroupHom]:
+    """Every homomorphism between two finite groups, by trying each choice
+    of generator images and keeping those that each generator's order
+    kills."""
+    if not (G.is_finite() and H.is_finite()):
+        raise ValueError("brute enumeration needs finite groups")
+    out = []
+    for imgs in itertools.product(list(H.elements()), repeat=G.ngens):
+        if all(H.reduce([o * c for c in img]) == H.zero()
+               for o, img in zip(G.gen_orders, imgs)):
+            out.append(GroupHom(G, H, IntMatrix.from_columns(imgs, rows=H.ngens)))
+    return out
+
+
 def _cycle_vertices(g) -> set:
     """Indices of vertices lying on some directed cycle."""
     reach = [[g.adjacency[i, j] > 0 for j in range(g.n)] for i in range(g.n)]

@@ -304,6 +304,25 @@ def test_oversized_json_exits_2(capsys, tmp_path, payload):
         assert "malformed JSON" in err and "Traceback" not in err
 
 
+PAST_DIGIT_LIMIT = "7" * 5000
+DIGIT_LIMIT_MESSAGE = ("an integer of 5,000 digits is past the 4,300-digit limit "
+                       "on reading integers")
+
+
+def test_literal_past_the_digit_limit_names_it(capsys):
+    # Python's own message asks for sys.set_int_max_str_digits(), which a
+    # command line user cannot call
+    rc, out, err = run_cli(capsys, "sturmian", "compare", f"sqrt({PAST_DIGIT_LIMIT})", "sqrt(2)")
+    assert (rc, out, err) == (2, "", f"error: {DIGIT_LIMIT_MESSAGE}\n")
+
+
+def test_json_integer_past_the_digit_limit_names_it(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f"[[{PAST_DIGIT_LIMIT}]]")
+    rc, out, err = run_cli(capsys, "snf", str(bad))
+    assert (rc, out, err) == (2, "", f"error: malformed JSON in {bad}: {DIGIT_LIMIT_MESSAGE}\n")
+
+
 def test_unsupported_inputs_exit_3(capsys, tmp_path):
     # rational value in a well-formed literal
     rc, _, err = run_cli(capsys, "sturmian", "compare", "sqrt(2)", "(1+2*sqrt(4))/3")

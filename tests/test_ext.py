@@ -73,13 +73,16 @@ def test_split_sequence_has_zero_class():
     G = FgAbelianGroup(1, (3,))
     incl = hom(Z, G, [[1], [0]])
     proj = hom(G, cyclic(3), [[0, 1]])
-    assert extension_class(incl, proj).is_zero()
+    assert extension_class(incl, proj) == ext1(cyclic(3), Z).zero()
 
 
-def test_extension_class_rejects_non_exact():
+def test_extension_class_refuses_a_scaled_lift_outside_the_inclusion():
+    # extension_class does not prove exactness; on this sequence, whose
+    # kernel 3Z strictly contains the image 6Z, the lift 1 of the
+    # generator of Z/3 scales to 3, which the inclusion does not reach
     incl = hom(Z, Z, [[6]])
-    proj = hom(Z, cyclic(3), [[1]])  # kernel 3Z strictly contains image 6Z
-    with pytest.raises(ValueError):
+    proj = hom(Z, cyclic(3), [[1]])
+    with pytest.raises(ValueError, match="scaled lift is not in the image of the inclusion"):
         extension_class(incl, proj)
 
 

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
 
-from oracles import is_exact_pair_bruteforce
+from oracles import homs_bruteforce, is_exact_pair_bruteforce
 
 from kclass.matrix import IntMatrix
 from kclass.groups import (
@@ -208,6 +209,56 @@ def test_solve_hom_equations_no_solution():
     # no H with H * (x2 on Z) == identity
     f = GroupHom(Z, Z, IntMatrix([[2]]))
     assert solve_hom_equations(Z, Z, [(None, f, IntMatrix.identity(1))]) is None
+
+
+def test_solve_hom_equations_against_bruteforce():
+    # every H: D -> C is listed, so a system has a solution exactly when
+    # the enumeration finds one; this pins the row and column order of
+    # the equations P H Q = T as rows of P (x) Q^T
+    finite = [FgAbelianGroup(0, t) for t in [(), (2,), (3,), (4,), (2, 2), (2, 4), (6,)]]
+    rng = random.Random(18)
+    homs = {}
+
+    def all_homs(G, H):
+        if (G, H) not in homs:
+            homs[G, H] = homs_bruteforce(G, H)
+        return homs[G, H]
+
+    def holds(H, eq):
+        P, Q, T = eq
+        lhs = ((P or GroupHom.identity(H.codomain)) @ H
+               @ (Q or GroupHom.identity(H.domain)))
+        return lhs == GroupHom(lhs.domain, lhs.codomain, T)
+
+    seen = Counter()
+    for _ in range(400):
+        D, C = rng.choice(finite), rng.choice(finite)
+        if C.order() ** D.ngens > 64:
+            continue
+        equations = []
+        for _ in range(rng.choice((1, 2))):
+            P = rng.choice([None, rng.choice(all_homs(C, rng.choice(finite)))])
+            Q = rng.choice([None, rng.choice(all_homs(rng.choice(finite), D))])
+            X = P.codomain if P else C
+            Y = Q.domain if Q else D
+            if rng.random() < 0.5:  # solvable by construction
+                H0 = rng.choice(all_homs(D, C))
+                T = (P or GroupHom.identity(C)) @ H0 @ (Q or GroupHom.identity(D))
+            else:
+                T = rng.choice(all_homs(Y, X))
+            equations.append((P, Q, T.matrix))
+            seen["P None"] += P is None
+            seen["Q None"] += Q is None
+        H = solve_hom_equations(D, C, equations)
+        solvable = any(all(holds(h, eq) for eq in equations) for h in all_homs(D, C))
+        assert (H is not None) == solvable
+        if H is not None:
+            assert (H.domain, H.codomain) == (D, C)
+            assert all(holds(H, eq) for eq in equations)
+        seen["two equations"] += len(equations) == 2
+        seen["trivial group"] += D.is_trivial() or C.is_trivial()
+        seen["solved" if solvable else "no solution"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_relation_matrix():

@@ -7,6 +7,7 @@ import pytest
 from kclass.matrix import (
     IntMatrix,
     kernel_basis,
+    kron,
     preimage_lattice,
     snf,
     solve,
@@ -77,6 +78,21 @@ def test_snf_random_matrices_match_minor_gcd_oracle():
         for k in range(1, min(m, n) + 1):
             prod *= diag[k - 1]
             assert prod == minor_gcd(M, k)
+
+
+def test_kron_turns_two_sided_products_into_one_matrix():
+    # A X B flattened row by row is (A (x) B^T) applied to X flattened row by row
+    rng = random.Random(5)
+    for _ in range(30):
+        m, n, p, q = (rng.randrange(4) for _ in range(4))
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        X = [[rng.randint(-3, 3) for _ in range(p)] for _ in range(n)]
+        B = [[rng.randint(-3, 3) for _ in range(q)] for _ in range(p)]
+        Bm = IntMatrix(B, cols=q)
+        AXB = IntMatrix(A, cols=n) @ IntMatrix(X, cols=p) @ Bm
+        K = IntMatrix(kron(A, [Bm.column(j) for j in range(q)]), cols=n * p)
+        assert list(K.apply([x for row in X for x in row])) == [x for row in AXB.data for x in row]
+    assert kron([[1, 2]], [[0, 1], [1, 0]]) == [[0, 1, 0, 2], [1, 0, 2, 0]]
 
 
 def test_unimodular_inverse():

@@ -9,9 +9,12 @@ import pytest
 from oracles import sixterm_iso_bruteforce
 from sampling import invariant_corpus, random_valid_invariant
 
+import kclass.ext
+import kclass.groups
 import kclass.sixterm
 import kclass.surd
 from kclass.cli import main
+from kclass.ext import ext1, extension_class, realize_extension
 from kclass.groups import FgAbelianGroup, GroupHom, cokernel, kernel
 from kclass.matrix import IntMatrix
 from kclass.sixterm import (
@@ -515,6 +518,31 @@ def test_exhausted_orbit_limit_is_unknown(monkeypatch):
     monkeypatch.setattr(kclass.sixterm, "ORBIT_LIMIT", 2)
     v = decide_iso_one_ideal(s, t)
     assert (v.status, v.reason) == ("unknown", "extension class orbit exceeded the search limit")
+
+
+def test_extension_classes_trust_the_exact_invariant(monkeypatch):
+    # a six-term invariant is proved exact when it is built and
+    # realize_extension is exact by construction, so neither the Ext
+    # route nor extension_class proves exactness again
+    calls = Counter()
+    for name in ("kernel", "cokernel", "is_exact_pair"):
+        def counted(*args, name=name, original=getattr(kclass.groups, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(kclass.ext, name, counted, raising=False)
+
+    def counted_class(incl, proj, original=kclass.sixterm.extension_class):
+        calls["extension_class"] += 1
+        return original(incl, proj)
+    monkeypatch.setattr(kclass.sixterm, "extension_class", counted_class)
+    for k in (2, 3):
+        v = decide_iso_one_ideal(z7_extension(1), z7_extension(k))
+        assert v.status == "isomorphic"
+    E = ext1(FgAbelianGroup(0, (2, 4)), FgAbelianGroup(1, (4,)))
+    for coords in [(1, 0, 1, 2), (0, 3, 1, 0)]:
+        x = E.element(coords)
+        assert extension_class(*realize_extension(x)[1:]) == x
+    assert calls == Counter(extension_class=4)
 
 
 def test_exhausted_budget_is_a_result_on_the_command_line(monkeypatch, capsys, tmp_path):
