@@ -109,15 +109,15 @@ class Presentation:
     The presented group is Z^n modulo the column span of ``rel`` (n =
     ``rel.rows``).  The Smith form of the relations yields the canonical
     form together with explicit maps between ambient and canonical
-    coordinates.
+    coordinates, and ``kernel``, a basis of the integer kernel of ``rel``.
     """
 
-    __slots__ = ("rel", "group", "_u", "_uinv", "_free_idx", "_tor_idx", "_orders")
+    __slots__ = ("group", "kernel", "_u", "_uinv", "_free_idx", "_tor_idx", "_orders")
 
     def __init__(self, rel: IntMatrix):
-        self.rel = rel
         n, q = rel.rows, rel.cols
         dec = snf(rel)
+        self.kernel = dec.kernel()
         self._u = dec.U
         self._uinv = None  # built by lift, the only reader
         ds = [dec.D[j, j] if j < min(n, q) else 0 for j in range(n)]
@@ -141,11 +141,6 @@ class Presentation:
         return self._uinv.column(idx)
 
 
-def group_from_matrix(M: IntMatrix) -> FgAbelianGroup:
-    """Cokernel of M acting Z^cols -> Z^rows, in canonical form."""
-    return Presentation(M).group
-
-
 class GroupHom:
     """A homomorphism between groups in canonical form.
 
@@ -154,9 +149,13 @@ class GroupHom:
     reduced modulo the generator order.  Matrices that do not define a
     homomorphism (a torsion generator sent to an element not killed by
     its order) are rejected.
+
+    The Smith form of the lattice L_f = [f | R] (R the codomain
+    relations) is computed once, on first use, and shared by every
+    reader: the cokernel, the kernel, surjectivity and exactness.
     """
 
-    __slots__ = ("domain", "codomain", "matrix")
+    __slots__ = ("domain", "codomain", "matrix", "_presentation")
 
     def __init__(self, domain: FgAbelianGroup, codomain: FgAbelianGroup, matrix: IntMatrix):
         if matrix.rows != codomain.ngens or matrix.cols != domain.ngens:
@@ -179,6 +178,7 @@ class GroupHom:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_presentation", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupHom is immutable")
@@ -210,9 +210,26 @@ class GroupHom:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
+    @property
+    def presentation(self) -> Presentation:
+        """Codomain coordinates modulo L_f, the lattice image(f) pulls
+        back to.  Its group is the cokernel of f, and it projects a
+        vector to zero exactly when the vector lies in L_f."""
+        if self._presentation is None:
+            object.__setattr__(self, "_presentation", Presentation(
+                IntMatrix.hstack(self.matrix, relation_matrix(self.codomain))))
+        return self._presentation
+
+    @property
+    def kernel_span(self) -> list[tuple[int, ...]]:
+        """A basis of {v : f v lies in the codomain relations}, the lattice
+        kernel(f) pulls back to: the kernel of L_f cut to the domain
+        coordinates, as in ``preimage_lattice``."""
+        n = self.domain.ngens
+        return [v[:n] for v in self.presentation.kernel]
+
     def is_surjective(self) -> bool:
-        return group_from_matrix(
-            IntMatrix.hstack(self.matrix, relation_matrix(self.codomain))).is_trivial()
+        return self.presentation.group.is_trivial()
 
     def is_isomorphism(self) -> bool:
         """Groups are canonical, so isomorphic groups are equal, and a
@@ -235,9 +252,9 @@ class GroupHom:
 
 def kernel(f: GroupHom) -> tuple[FgAbelianGroup, GroupHom]:
     """Kernel subgroup with its inclusion into the domain."""
-    G, H = f.domain, f.codomain
+    G = f.domain
     # relation columns are independent, so both lattices come as bases
-    span = preimage_lattice(f.matrix, relation_matrix(H))
+    span = f.kernel_span
     B = IntMatrix.from_columns(span, rows=G.ngens)
     rels = preimage_lattice(B, relation_matrix(G))
     pres = Presentation(IntMatrix.from_columns(rels, rows=len(span)))
@@ -250,7 +267,7 @@ def kernel(f: GroupHom) -> tuple[FgAbelianGroup, GroupHom]:
 def cokernel(f: GroupHom) -> tuple[FgAbelianGroup, GroupHom]:
     """Cokernel with the projection from the codomain."""
     H = f.codomain
-    pres = Presentation(IntMatrix.hstack(f.matrix, relation_matrix(H)))
+    pres = f.presentation
     C = pres.group
     cols = [pres.project(e) for e in identity_rows(H.ngens)]
     proj = GroupHom(H, C, IntMatrix.from_columns(cols, rows=C.ngens))
@@ -261,22 +278,17 @@ def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
     """Whether image(f) equals kernel(g) inside f.codomain == g.domain.
 
     image(f) lies in kernel(g) exactly when g f = 0.  Then the lattice
-    [f | R] of image(f) lies in the lattice [f | R | kernel(g)], so Z^n
-    modulo the first maps onto Z^n modulo the second.  A surjection
-    between isomorphic finitely generated abelian groups is injective, so
-    the lattices are equal exactly when they have the same nonzero
-    invariant factors.
+    L_f = [f | R] of image(f) lies in the lattice kernel(g) pulls back
+    to, and the two are equal exactly when every vector of g's kernel
+    span lies in L_f, that is, projects to zero modulo L_f.
     """
     if f.codomain != g.domain:
         raise ValueError("maps are not composable")
     if not (g @ f).is_zero():
         return False
-    mid = f.codomain
-    im_lat = IntMatrix.hstack(f.matrix, relation_matrix(mid))
-    ker_span = preimage_lattice(g.matrix, relation_matrix(g.codomain))
-    both = IntMatrix.hstack(im_lat, IntMatrix.from_columns(ker_span, rows=mid.ngens))
-    return ([d for d in snf(im_lat).diagonal() if d]
-            == [d for d in snf(both).diagonal() if d])
+    pres = f.presentation
+    zero = pres.group.zero()
+    return all(pres.project(v) == zero for v in g.kernel_span)
 
 
 def solve_hom_equations(

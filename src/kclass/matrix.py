@@ -214,6 +214,13 @@ class SmithDecomposition:
         n = min(self.D.rows, self.D.cols)
         return tuple(self.D[i, i] for i in range(n))
 
+    def kernel(self) -> list[tuple[int, ...]]:
+        """A basis (as column vectors) of the integer kernel of M: the
+        columns of V whose diagonal entry is zero or missing."""
+        r = min(self.D.rows, self.D.cols)
+        return [self.V.column(j) for j in range(self.V.cols)
+                if j >= r or self.D[j, j] == 0]
+
 
 def snf(M: IntMatrix) -> SmithDecomposition:
     """Smith normal form over the integers.
@@ -311,13 +318,7 @@ def unimodular_inverse(M: IntMatrix) -> IntMatrix:
 
 def kernel_basis(M: IntMatrix) -> list[tuple[int, ...]]:
     """A basis (as column vectors) of the integer kernel of M."""
-    dec = snf(M)
-    out = []
-    for j in range(M.cols):
-        d = dec.D[j, j] if j < min(M.rows, M.cols) else 0
-        if d == 0:
-            out.append(dec.V.column(j))
-    return out
+    return snf(M).kernel()
 
 
 def solve(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:

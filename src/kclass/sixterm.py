@@ -17,8 +17,8 @@ import itertools
 from dataclasses import dataclass
 
 from .matrix import IntMatrix
-from .groups import (FgAbelianGroup, GroupHom, kernel, cokernel, group_from_matrix,
-                     is_exact_pair, relation_matrix, solve_hom_equations)
+from .groups import (FgAbelianGroup, GroupHom, kernel, cokernel, is_exact_pair,
+                     solve_hom_equations)
 from .ext import ext1, extension_class, pull_element, push_element, orbit_search
 from .autgroups import aut_generators, aut_order, subgroup_closure, word_ball
 from .dimgroup import (StationaryDimensionGroup, is_positive_slope_map,
@@ -362,8 +362,7 @@ def _cokernels(inv: SixTermInvariant) -> list[FgAbelianGroup]:
     """C[i] = coker f_i for each map f_i, in MAP_KEYS order.  The cycle is
     exact, so ker f_i = im f_{i-1}, which is isomorphic to coker f_{i-2}:
     map i has kernel C[i-2] and cokernel C[i]."""
-    return [group_from_matrix(IntMatrix.hstack(h.matrix, relation_matrix(h.codomain)))
-            for h in (inv.maps[k] for k in MAP_KEYS)]
+    return [inv.maps[k].presentation.group for k in MAP_KEYS]
 
 
 def _hom_space(A: FgAbelianGroup, B: FgAbelianGroup):

@@ -6,8 +6,8 @@ from collections import defaultdict
 from math import gcd
 
 from kclass.graphalg import IdealDatum
-from kclass.groups import GroupHom
-from kclass.matrix import IntMatrix
+from kclass.groups import GroupHom, relation_matrix
+from kclass.matrix import IntMatrix, preimage_lattice, snf
 from kclass.surd import QuadraticIrrational, convergent_matrix, mobius_apply
 
 
@@ -140,6 +140,27 @@ def is_exact_pair_bruteforce(f, g) -> bool:
     image = {f(x) for x in f.domain.elements()}
     zero = g.codomain.zero()
     return image == {y for y in g.domain.elements() if g(y) == zero}
+
+
+def is_exact_pair_by_invariant_factors(f, g) -> bool:
+    """Whether image(f) equals kernel(g), for groups finite or not, by
+    three Smith forms.
+
+    image(f) lies in kernel(g) exactly when g f = 0.  Then the lattice
+    [f | R] of image(f) lies in the lattice [f | R | kernel(g)], so Z^n
+    modulo the first maps onto Z^n modulo the second.  A surjection
+    between isomorphic finitely generated abelian groups is injective, so
+    the lattices are equal exactly when they have the same nonzero
+    invariant factors.
+    """
+    if not (g @ f).is_zero():
+        return False
+    mid = f.codomain
+    im_lat = IntMatrix.hstack(f.matrix, relation_matrix(mid))
+    ker_span = preimage_lattice(g.matrix, relation_matrix(g.codomain))
+    both = IntMatrix.hstack(im_lat, IntMatrix.from_columns(ker_span, rows=mid.ngens))
+    return ([d for d in snf(im_lat).diagonal() if d]
+            == [d for d in snf(both).diagonal() if d])
 
 
 def homs_bruteforce(G, H) -> list[GroupHom]:

@@ -4,15 +4,16 @@ from math import gcd
 
 import pytest
 
-from oracles import homs_bruteforce, is_exact_pair_bruteforce
+from oracles import homs_bruteforce, is_exact_pair_bruteforce, is_exact_pair_by_invariant_factors
+from sampling import random_group
 
+from kclass.autgroups import aut_generators
 from kclass.matrix import IntMatrix
 from kclass.groups import (
     FgAbelianGroup,
     GroupHom,
     Presentation,
     cokernel,
-    group_from_matrix,
     is_exact_pair,
     kernel,
     relation_matrix,
@@ -25,6 +26,10 @@ TRIVIAL = FgAbelianGroup(0)
 
 def Zmod(*ds):
     return FgAbelianGroup(0, tuple(ds))
+
+
+def presented(M):
+    return Presentation(M).group
 
 
 def random_unimodular(n, rng):
@@ -59,14 +64,14 @@ def test_rank_and_torsion_are_exact_integers():
 
 
 def test_group_from_matrix_worked_example():
-    assert group_from_matrix(IntMatrix([[1, 0], [1, 2]])) == Zmod(2)
+    assert presented(IntMatrix([[1, 0], [1, 2]])) == Zmod(2)
 
 
 def test_group_from_matrix_more():
-    assert group_from_matrix(IntMatrix.zeros(2, 0)) == FgAbelianGroup(2)
-    assert group_from_matrix(IntMatrix([[2, 0], [0, 3]])) == Zmod(6)
-    assert group_from_matrix(IntMatrix([[2, 0], [0, 2]])) == Zmod(2, 2)
-    assert group_from_matrix(IntMatrix.identity(3)) == TRIVIAL
+    assert presented(IntMatrix.zeros(2, 0)) == FgAbelianGroup(2)
+    assert presented(IntMatrix([[2, 0], [0, 3]])) == Zmod(6)
+    assert presented(IntMatrix([[2, 0], [0, 2]])) == Zmod(2, 2)
+    assert presented(IntMatrix.identity(3)) == TRIVIAL
 
 
 def test_canonical_form_invariant_under_unimodular_change():
@@ -77,7 +82,7 @@ def test_canonical_form_invariant_under_unimodular_change():
         M = IntMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
         P = random_unimodular(m, rng)
         Q = random_unimodular(n, rng) if n else IntMatrix.identity(0)
-        assert group_from_matrix(M) == group_from_matrix(P @ M @ Q)
+        assert presented(M) == presented(P @ M @ Q)
 
 
 def test_presentation_round_trip():
@@ -85,7 +90,8 @@ def test_presentation_round_trip():
     for _ in range(30):
         m = rng.randint(1, 4)
         n = rng.randint(0, 4)
-        pres = Presentation(IntMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]))
+        rel = IntMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
+        pres = Presentation(rel)
         G = pres.group
         # projecting each lift gives the corresponding unit coordinate vector
         for i in range(G.ngens):
@@ -93,8 +99,8 @@ def test_presentation_round_trip():
             e[i] = 1
             assert pres.project(pres.lift(i)) == tuple(e)
         # relations project to zero
-        for j in range(pres.rel.cols):
-            assert pres.project(pres.rel.column(j)) == G.zero()
+        for j in range(rel.cols):
+            assert pres.project(rel.column(j)) == G.zero()
 
 
 def test_hom_validation_and_reduction():
@@ -290,11 +296,13 @@ FINITE = [TRIVIAL, Zmod(2), Zmod(3), Zmod(4), Zmod(5), Zmod(6), Zmod(8), Zmod(12
           Zmod(3, 9), Zmod(2, 2, 2), Zmod(2, 2, 4), Zmod(4, 8), Zmod(2, 4, 8)]
 
 
-def random_finite_hom(rng, dom, cod):
-    """A random homomorphism between finite groups: a generator of order o
-    goes against a generator of order d to a multiple of d / gcd(d, o)."""
-    cols = [[d // gcd(d, o) * rng.randrange(gcd(d, o)) for d in cod.gen_orders]
-            for o in dom.gen_orders]
+def random_hom(rng, dom, cod):
+    """A random homomorphism: a generator of order o (0 if free) goes
+    against a generator of order d to a multiple of d / gcd(d, o), and
+    against a free generator to 0, or anywhere if it is free itself."""
+    cols = [[d // gcd(d, o) * rng.randrange(gcd(d, o)) if d else
+             rng.randint(-3, 3) if o == 0 else 0
+             for d in cod.gen_orders] for o in dom.gen_orders]
     return GroupHom(dom, cod, IntMatrix.from_columns(cols, rows=cod.ngens))
 
 
@@ -307,16 +315,16 @@ def test_exactness_and_kernel_match_bruteforce_oracle():
         A, H = rng.choice(FINITE), rng.choice(FINITE)
         route = rng.randrange(3)
         if route == 0:
-            f = random_finite_hom(rng, A, H)
-            g = random_finite_hom(rng, H, rng.choice(FINITE))
+            f = random_hom(rng, A, H)
+            g = random_hom(rng, H, rng.choice(FINITE))
         elif route == 1:
-            f = random_finite_hom(rng, A, H)
+            f = random_hom(rng, A, H)
             C, proj = cokernel(f)
-            g = random_finite_hom(rng, C, rng.choice([C, *FINITE])) @ proj
+            g = random_hom(rng, C, rng.choice([C, *FINITE])) @ proj
         else:
-            g = random_finite_hom(rng, H, rng.choice(FINITE))
+            g = random_hom(rng, H, rng.choice(FINITE))
             K, incl = kernel(g)
-            f = incl @ random_finite_hom(rng, rng.choice([K, *FINITE]), K)
+            f = incl @ random_hom(rng, rng.choice([K, *FINITE]), K)
         exact = is_exact_pair_bruteforce(f, g)
         assert is_exact_pair(f, g) == exact
         seen[exact, (g @ f).is_zero()] += 1
@@ -329,3 +337,64 @@ def test_exactness_and_kernel_match_bruteforce_oracle():
     assert seen[True, True] >= 100
     assert seen[False, True] + seen[False, False] >= 100
     assert min(seen.values()) >= 50
+
+
+def random_automorphism(rng, G):
+    phi = GroupHom.identity(G)
+    gens = aut_generators(G)
+    for _ in range(rng.randint(0, 3) if gens else 0):
+        phi = rng.choice(gens) @ phi
+    return phi
+
+
+def test_exactness_matches_invariant_factor_oracle_on_infinite_groups():
+    # groups of free rank at most 2 with torsion, so that membership in
+    # the image lattice is decided on free coordinates too; pairs with
+    # g f = 0 come from a cokernel projection after a random map or a
+    # kernel inclusion before one, which is exact only when that map is
+    # injective, respectively onto (so m * incl is exact only when m is
+    # invertible on the kernel)
+    rng = random.Random(1919)
+    seen = Counter()
+    for _ in range(480):
+        A, H = random_group(rng), random_group(rng)
+        route = rng.randrange(5)
+        if route == 0:
+            f = random_hom(rng, A, H)
+            g = random_hom(rng, H, random_group(rng))
+        elif route in (1, 2):
+            f = random_hom(rng, A, H)
+            C, proj = cokernel(f)
+            after = (random_automorphism(rng, C) if route == 1
+                     else random_hom(rng, C, rng.choice([C, random_group(rng)])))
+            g = after @ proj
+        else:
+            g = random_hom(rng, H, random_group(rng))
+            K, incl = kernel(g)
+            if route == 3:
+                before = random_automorphism(rng, K)
+            else:
+                m = rng.randint(1, 3)
+                before = GroupHom(K, K, IntMatrix.diagonal([m] * K.ngens))
+            f = incl @ before
+        exact = is_exact_pair_by_invariant_factors(f, g)
+        assert is_exact_pair(f, g) == exact
+        seen[exact, (g @ f).is_zero(), f.codomain.is_finite()] += 1
+    assert sum(n for (exact, _, _), n in seen.items() if exact) >= 100
+    assert sum(n for (exact, _, _), n in seen.items() if not exact) >= 100
+    # both verdicts reached the membership test with free coordinates
+    assert seen[True, True, False] >= 50 and seen[False, True, False] >= 50
+
+
+def test_cached_factorization_leaves_a_hom_immutable_and_comparable():
+    f = GroupHom(FgAbelianGroup(1, (2,)), FgAbelianGroup(1, (4,)),
+                 IntMatrix([[2, 0], [1, 2]]))
+    g = GroupHom(f.domain, f.codomain, f.matrix)
+    before = hash(f)
+    assert f.presentation is f.presentation
+    assert cokernel(f)[0] == f.presentation.group == FgAbelianGroup(0, (4,))
+    assert f == g and g == f and hash(f) == hash(g) == before
+    assert len({f, g}) == 1
+    for name in ("matrix", "presentation", "_presentation"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(f, name, None)

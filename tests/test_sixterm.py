@@ -11,6 +11,7 @@ from sampling import invariant_corpus, random_valid_invariant
 
 import kclass.ext
 import kclass.groups
+import kclass.matrix
 import kclass.sixterm
 import kclass.surd
 from kclass.cli import main
@@ -543,6 +544,51 @@ def test_extension_classes_trust_the_exact_invariant(monkeypatch):
         x = E.element(coords)
         assert extension_class(*realize_extension(x)[1:]) == x
     assert calls == Counter(extension_class=4)
+
+
+class _RouteReached(Exception):
+    pass
+
+
+def test_each_map_is_factored_once(monkeypatch):
+    # loading an invariant factors each of its six maps once, to prove
+    # exactness; the decision then reads the map shapes off those
+    # factorizations and needs no Smith form of its own before the
+    # identity shortcut or a route
+    calls = Counter()
+    original = kclass.matrix.snf
+
+    def counted(M):
+        calls["snf"] += 1
+        return original(M)
+    for module in (kclass.matrix, kclass.groups):
+        monkeypatch.setattr(module, "snf", counted)
+
+    rng = random.Random(19)
+    corpus = invariant_corpus(17, 80)
+    invs = corpus + [_twisted(inv, rng) for inv in corpus[:40]]
+    loaded = []
+    for inv in invs:
+        before = calls["snf"]
+        loaded.append(SixTermInvariant.from_json(inv.to_json()))
+        assert calls["snf"] - before == 6
+
+    routes = ("_identity_witness", "_ext_route", "_general_search")
+    for name in routes:
+        def reached(*args, name=name):
+            raise _RouteReached(name)
+        monkeypatch.setattr(kclass.sixterm, name, reached)
+    ends = Counter()
+    for a, b in itertools.combinations(loaded, 2):
+        if a.groups != b.groups:
+            continue
+        before = calls["snf"]
+        try:
+            ends[kclass.sixterm._decide(a, b).status] += 1
+        except _RouteReached as route:
+            ends[route.args[0]] += 1
+        assert calls["snf"] == before
+    assert min(ends[name] for name in routes) >= 5 and ends["not_isomorphic"] >= 20
 
 
 def test_exhausted_budget_is_a_result_on_the_command_line(monkeypatch, capsys, tmp_path):
