@@ -19,8 +19,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .matrix import IntMatrix, identity_rows, kron, solve
-from .groups import FgAbelianGroup, GroupHom, Presentation, relation_matrix
+from .matrix import IntMatrix, identity_rows, kron
+from .groups import FgAbelianGroup, GroupHom, Presentation
 
 
 class ExtGroup:
@@ -117,36 +117,25 @@ def extension_class(incl: GroupHom, proj: GroupHom) -> ExtElement:
     generator a of A to g in G and expressing (order of a) * g as an
     element of B.  With this convention the sequence
     0 -> Z -(m)-> Z -> Z/m -> 0 has class +1 times the canonical
-    generator.
+    generator.  Another lift moves the class by multiples of the block
+    moduli, which the reduced coordinates forget.
     """
-    B, G, A = incl.domain, incl.codomain, proj.codomain
+    B, A = incl.domain, proj.codomain
     if incl.codomain != proj.domain:
         raise ValueError("maps are not composable")
 
     E = ExtGroup(A, B)
-    rel_g = relation_matrix(G)
-    rel_a = relation_matrix(A)
     units = identity_rows(A.ngens)
     coords: list[int] = []
     for i, d in enumerate(A.torsion):
-        lifted = _solve_mod(proj.matrix, rel_a, units[A.free_rank + i])
+        lifted = proj.preimage(units[A.free_rank + i])
         if lifted is None:
             raise ValueError("projection failed to lift a generator")
-        scaled = [d * x for x in lifted]
-        back = _solve_mod(incl.matrix, rel_g, scaled)
+        back = incl.preimage([d * x for x in lifted])
         if back is None:
             raise ValueError("scaled lift is not in the image of the inclusion")
         coords.extend(back)
     return E.element(coords)
-
-
-def _solve_mod(F: IntMatrix, rels: IntMatrix, target: Sequence[int]):
-    """One x with F x == target modulo the column span of rels."""
-    stacked = IntMatrix.hstack(F, rels)
-    sol = solve(stacked, target)
-    if sol is None:
-        return None
-    return list(sol[:F.cols])
 
 
 def realize_extension(x: ExtElement) -> tuple[FgAbelianGroup, GroupHom, GroupHom]:

@@ -226,9 +226,8 @@ class _GraphK:
             col[v] -= 1
             cols.append(col)
         self.matrix = IntMatrix.from_columns(cols, rows=graph.n)
-        self.k1_basis = kernel_basis(self.matrix)
-        self.k1 = FgAbelianGroup(len(self.k1_basis), ())
         if af:
+            self.k1_basis = kernel_basis(self.matrix)
             # path-count coordinates: K0 is free on the sinks
             sinks = [i for i in range(graph.n) if not graph.is_regular(i)]
             # a successor reaches fewer vertices, so its counts come first
@@ -252,7 +251,9 @@ class _GraphK:
             self._sinks = sinks
         else:
             self.pres = Presentation(self.matrix)
+            self.k1_basis = self.pres.dec.kernel()
             self.k0 = self.pres.group
+        self.k1 = FgAbelianGroup(len(self.k1_basis), ())
 
     def project(self, vec) -> tuple:
         """K0 class of a vertex-space vector."""

@@ -109,16 +109,15 @@ class Presentation:
     The presented group is Z^n modulo the column span of ``rel`` (n =
     ``rel.rows``).  The Smith form of the relations yields the canonical
     form together with explicit maps between ambient and canonical
-    coordinates, and ``kernel``, a basis of the integer kernel of ``rel``.
+    coordinates; ``dec`` keeps that Smith form, for the kernel of ``rel``
+    and to solve against it.
     """
 
-    __slots__ = ("group", "kernel", "_u", "_uinv", "_free_idx", "_tor_idx", "_orders")
+    __slots__ = ("group", "dec", "_uinv", "_free_idx", "_tor_idx", "_orders")
 
     def __init__(self, rel: IntMatrix):
         n, q = rel.rows, rel.cols
-        dec = snf(rel)
-        self.kernel = dec.kernel()
-        self._u = dec.U
+        self.dec = dec = snf(rel)
         self._uinv = None  # built by lift, the only reader
         ds = [dec.D[j, j] if j < min(n, q) else 0 for j in range(n)]
         self._free_idx = [j for j, d in enumerate(ds) if d == 0]
@@ -128,7 +127,7 @@ class Presentation:
 
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of the class of an ambient vector."""
-        y = self._u.apply(vec)
+        y = self.dec.U.apply(vec)
         coords = [y[j] for j in self._free_idx]
         coords.extend(y[j] % d for j, d in zip(self._tor_idx, self._orders))
         return tuple(coords)
@@ -137,7 +136,7 @@ class Presentation:
         """An ambient representative of canonical generator i."""
         idx = (self._free_idx + self._tor_idx)[i]
         if self._uinv is None:
-            self._uinv = unimodular_inverse(self._u)
+            self._uinv = unimodular_inverse(self.dec.U)
         return self._uinv.column(idx)
 
 
@@ -152,7 +151,7 @@ class GroupHom:
 
     The Smith form of the lattice L_f = [f | R] (R the codomain
     relations) is computed once, on first use, and shared by every
-    reader: the cokernel, the kernel, surjectivity and exactness.
+    reader: (co)kernel, preimages, inverse, surjectivity and exactness.
     """
 
     __slots__ = ("domain", "codomain", "matrix", "_presentation")
@@ -226,7 +225,13 @@ class GroupHom:
         kernel(f) pulls back to: the kernel of L_f cut to the domain
         coordinates, as in ``preimage_lattice``."""
         n = self.domain.ngens
-        return [v[:n] for v in self.presentation.kernel]
+        return [v[:n] for v in self.presentation.dec.kernel()]
+
+    def preimage(self, vec: Sequence[int]) -> tuple[int, ...] | None:
+        """One x with f x == vec modulo the codomain relations (a solution
+        of L_f cut to the domain coordinates), or None if there is none."""
+        sol = self.presentation.dec.solve(vec)
+        return None if sol is None else sol[:self.domain.ngens]
 
     def is_surjective(self) -> bool:
         return self.presentation.group.is_trivial()
@@ -238,13 +243,12 @@ class GroupHom:
         return self.domain == self.codomain and self.is_surjective()
 
     def inverse(self) -> GroupHom:
-        """Inverse of an isomorphism."""
-        inv = solve_hom_equations(
-            self.codomain, self.domain,
-            [(None, self, IntMatrix.identity(self.domain.ngens))])
-        if inv is None or not (self @ inv).matrix == IntMatrix.identity(self.codomain.ngens):
+        """Inverse of an isomorphism: the preimages of the generators."""
+        if not self.is_isomorphism():
             raise ValueError("hom is not invertible")
-        return inv
+        cols = [self.preimage(e) for e in identity_rows(self.codomain.ngens)]
+        return GroupHom(self.codomain, self.domain,
+                        IntMatrix.from_columns(cols, rows=self.domain.ngens))
 
     def __repr__(self) -> str:
         return f"GroupHom({self.domain} -> {self.codomain}, {self.matrix.to_lists()})"

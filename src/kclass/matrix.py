@@ -221,6 +221,16 @@ class SmithDecomposition:
         return [self.V.column(j) for j in range(self.V.cols)
                 if j >= r or self.D[j, j] == 0]
 
+    def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
+        """One integer x with M x = b, or None: U b = D (V^-1 x), entry by entry."""
+        z = self.U.apply(b)
+        diag = self.diagonal()
+        # past the diagonal, and against a zero on it, U b must vanish
+        if any(z[len(diag):]) or any(zi % d if d else zi for zi, d in zip(z, diag)):
+            return None
+        y = [zi // d if d else 0 for zi, d in zip(z, diag)]
+        return self.V.apply(y + [0] * (self.D.cols - len(diag)))
+
 
 def snf(M: IntMatrix) -> SmithDecomposition:
     """Smith normal form over the integers.
@@ -323,21 +333,7 @@ def kernel_basis(M: IntMatrix) -> list[tuple[int, ...]]:
 
 def solve(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of M x = b, or None if there is none."""
-    if len(b) != M.rows:
-        raise ValueError("rhs length mismatch")
-    dec = snf(M)
-    z = dec.U.apply(b)
-    y = [0] * M.cols
-    r = min(M.rows, M.cols)
-    for i in range(M.rows):
-        d = dec.D[i, i] if i < r else 0
-        if i < M.cols and d != 0:
-            if z[i] % d:
-                return None
-            y[i] = z[i] // d
-        elif z[i] != 0:
-            return None
-    return dec.V.apply(y)
+    return snf(M).solve(b)
 
 
 def preimage_lattice(F: IntMatrix, R: IntMatrix) -> list[tuple[int, ...]]:

@@ -44,6 +44,7 @@ ORBIT_LIMIT = 10**6          # extension class orbit states
 END_BALL = (4, 500)          # order automorphisms at an infinite end
 STATIONARY_BALL = (12, 500)  # the same at an end with a stationary cone
 FALLBACK_BALL = (4, 200)     # K1B or K1A with infinitely many solutions
+MAX_GENERATORS = 20          # generators of a group read from JSON
 
 
 class UnsupportedConeError(Exception):
@@ -123,6 +124,8 @@ class ConeDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "ConeDescriptor":
+        if not isinstance(data, dict):
+            raise TypeError("a cone must be a JSON object")
         mat = data.get("matrix")
         return cls(data["tag"], None if mat is None else IntMatrix(mat))
 
@@ -148,7 +151,10 @@ def _group_json(G: FgAbelianGroup) -> dict:
 
 
 def _group_from_json(data: dict) -> FgAbelianGroup:
-    return FgAbelianGroup(data["rank"], tuple(data["torsion"]))
+    G = FgAbelianGroup(data["rank"], tuple(data["torsion"]))
+    if G.ngens > MAX_GENERATORS:  # its matrices grow with the square of this
+        raise ValueError(f"a group has {G.ngens} generators, past MAX_GENERATORS = {MAX_GENERATORS}")
+    return G
 
 
 class SixTermInvariant:

@@ -6,7 +6,7 @@ from collections import defaultdict
 from math import gcd
 
 from kclass.graphalg import IdealDatum
-from kclass.groups import GroupHom, relation_matrix
+from kclass.groups import GroupHom, relation_matrix, solve_hom_equations
 from kclass.matrix import IntMatrix, preimage_lattice, snf
 from kclass.surd import QuadraticIrrational, convergent_matrix, mobius_apply
 
@@ -161,6 +161,16 @@ def is_exact_pair_by_invariant_factors(f, g) -> bool:
     both = IntMatrix.hstack(im_lat, IntMatrix.from_columns(ker_span, rows=mid.ngens))
     return ([d for d in snf(im_lat).diagonal() if d]
             == [d for d in snf(both).diagonal() if d])
+
+
+def inverse_by_hom_equations(h) -> GroupHom:
+    """Inverse of an isomorphism as the solution H of H h = identity, one
+    integer system in the n^2 entries of H, checked on the other side."""
+    inv = solve_hom_equations(h.codomain, h.domain,
+                              [(None, h, IntMatrix.identity(h.domain.ngens))])
+    if inv is None or (h @ inv).matrix != IntMatrix.identity(h.codomain.ngens):
+        raise ValueError("hom is not invertible")
+    return inv
 
 
 def homs_bruteforce(G, H) -> list[GroupHom]:

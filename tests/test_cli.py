@@ -1,10 +1,13 @@
 """End-to-end tests of the command line interface."""
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
+from functools import reduce
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -14,6 +17,7 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 import pytest
+from sampling import invariant_corpus, random_one_ideal_graph
 
 import kclass
 import kclass.cli
@@ -379,6 +383,103 @@ def test_ideal_lattice_budget_exits_3(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "graph", "ideals", f)
     assert rc == 3 and out == "" and "MAX_IDEALS=65536" in err
     assert time.monotonic() - start < 2.0
+
+
+@pytest.mark.parametrize("cone", ["unordered", 4, 1.5, True, None, ["unordered"]],
+                         ids=["string", "integer", "float", "boolean", "null", "array"])
+def test_cone_that_is_not_an_object_exits_2(capsys, tmp_path, cone):
+    g = DirectedGraph(["v", "w"], IntMatrix([[4, 1], [0, 0]]))
+    data = one_ideal_invariant(g).to_json()
+    good = dump(tmp_path / "good.json", data)
+    data["cones"]["K0E"] = cone
+    bad = dump(tmp_path / "bad.json", data)
+    expected = f"error: bad six-term invariant in {bad}: a cone must be a JSON object\n"
+    for argv in (["sixterm", "check", bad], ["sixterm", "compare", good, bad]):
+        assert run_cli(capsys, *argv) == (2, "", expected)
+
+
+def test_group_past_the_generator_bound_exits_2(capsys, tmp_path):
+    g = DirectedGraph(["v", "w"], IntMatrix([[4, 1], [0, 0]]))
+    data = one_ideal_invariant(g).to_json()
+    data["groups"]["K1A"] = {"rank": 10 ** 6, "torsion": []}
+    bad = dump(tmp_path / "bad.json", data)
+    reason = "a group has 1000000 generators, past MAX_GENERATORS = 20"
+    assert run_cli(capsys, "sixterm", "check", bad) == (
+        2, "", f"error: bad six-term invariant in {bad}: {reason}\n")
+    a = dump(tmp_path / "a.json", {"rank": 0, "torsion": [2] * 21})
+    b = dump(tmp_path / "b.json", {"rank": 1, "torsion": []})
+    rc, out, err = run_cli(capsys, "ext", a, b)
+    assert (rc, out) == (2, "") and "past MAX_GENERATORS = 20" in err
+
+
+def _json_positions(node, at=()):
+    """The key path of every value in a JSON document, the root's () included."""
+    yield at
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_positions(child, at + (key,))
+
+
+def _random_json(rng, depth=0):
+    """A random JSON value: every scalar type, integers near and far past
+    the size bounds, and small arrays and objects keyed like the inputs."""
+    kind = rng.randrange(7 if depth < 2 else 5)
+    if kind == 0:
+        return rng.choice([0, 1, -1, 2, 3, 7, 20, 21, 10 ** 6, -10 ** 12, 10 ** 40])
+    if kind == 1:
+        return rng.choice([0.5, -2.0, 1e300])
+    if kind == 2:
+        return rng.choice(["", "x", "1", "unordered", "stationary_dg"])
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:
+        return []
+    if kind == 5:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(1, 3))]
+    keys = ["tag", "matrix", "rank", "torsion", "n", "p", "A", "vertices", "adjacency"]
+    return {rng.choice(keys): _random_json(rng, depth + 1) for _ in range(rng.randint(1, 2))}
+
+
+def _mutated(doc, rng):
+    """A copy of doc with one of its values, perhaps the root, replaced
+    by random JSON."""
+    at = rng.choice(list(_json_positions(doc)))
+    if not at:
+        return _random_json(rng)
+    doc = json.loads(json.dumps(doc))
+    reduce(lambda node, key: node[key], at[:-1], doc)[at[-1]] = _random_json(rng)
+    return doc
+
+
+def test_mutated_inputs_never_end_in_a_traceback(capsys, tmp_path):
+    # corpus six-term files, one-ideal graphs and substitution data, each
+    # with random values in place of some of its own; every run ends in a
+    # result or a refusal, and a traceback fails the test
+    rng = random.Random(2323)
+    fib4 = [[5, 3], [3, 2]]
+    sources = {
+        "sixterm": [inv.to_json() for inv in invariant_corpus(23, 12)],
+        "graph": [random_one_ideal_graph(rng).to_json() for _ in range(6)],
+        "subst": [subst_json([[1, 1]], fib4, [0]), subst_json([[2, 3]], fib4, [0]),
+                  subst_json([[1, 1]], [[5, 3], [3, 3]], [0]),
+                  subst_json([[1, 0], [0, 1]], [[2, 1], [1, 1]], [0, 1])],
+    }
+    commands = {"sixterm": ("check", "compare"), "graph": ("invariant", "compare"),
+                "subst": ("compare",)}
+    codes = Counter()
+    for cmd, docs in sources.items():
+        for _ in range(250):
+            doc = rng.choice(docs)
+            mutated = _mutated(doc, rng)
+            argv = [cmd, rng.choice(commands[cmd]), dump(tmp_path / "mutated.json", mutated)]
+            if argv[1] == "compare":
+                argv.append(dump(tmp_path / "intact.json", doc))
+            rc, _, _ = run_cli(capsys, *argv)
+            assert rc in (0, 2, 3), (argv[:2], mutated)
+            codes[cmd, rc] += 1
+    for cmd in sources:
+        assert codes[cmd, 0] >= 5 and codes[cmd, 2] >= 100, codes
 
 
 def test_missing_second_input_exits_2(capsys, tmp_path):

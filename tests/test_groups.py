@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from oracles import homs_bruteforce, is_exact_pair_bruteforce, is_exact_pair_by_invariant_factors
+from oracles import (homs_bruteforce, inverse_by_hom_equations, is_exact_pair_bruteforce,
+                     is_exact_pair_by_invariant_factors)
 from sampling import random_group
 
 from kclass.autgroups import aut_generators
@@ -199,7 +200,7 @@ def test_kernel_cokernel_exactness_property():
         assert is_exact_pair(f, proj)
 
 
-def test_solve_hom_equations_inverse():
+def test_inverse_matches_hom_equation_oracle():
     f = GroupHom(Zmod(5), Zmod(5), IntMatrix([[2]]))
     inv = f.inverse()
     assert inv.matrix[0, 0] == 3
@@ -209,6 +210,48 @@ def test_solve_hom_equations_inverse():
     h = GroupHom(Z, Z, IntMatrix([[2]]))
     with pytest.raises(ValueError):
         h.inverse()
+    # seeded automorphisms of groups of free rank at most 2 with torsion,
+    # and random maps, which the oracle refuses exactly when inverse does
+    rng = random.Random(2323)
+    seen = Counter()
+    for _ in range(300):
+        G = random_group(rng)
+        h = (random_automorphism(rng, G) if rng.random() < 0.6
+             else random_hom(rng, G, rng.choice([G, random_group(rng)])))
+        try:
+            expected = inverse_by_hom_equations(h).matrix
+        except ValueError:
+            expected = None
+        if expected is None:
+            with pytest.raises(ValueError, match="not invertible"):
+                h.inverse()
+        else:
+            assert h.inverse().matrix == expected
+        seen[expected is not None, G.is_finite()] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+
+def test_preimage_matches_element_enumeration():
+    # vec is drawn with unreduced torsion coordinates, so that "modulo
+    # the codomain relations" is exercised too; half the draws are
+    # images by construction
+    rng = random.Random(2324)
+    seen = Counter()
+    for _ in range(400):
+        dom, cod = rng.choice(FINITE), rng.choice(FINITE)  # of order at most 64
+        f = random_hom(rng, dom, cod)
+        image = {f(x) for x in dom.elements()}
+        if rng.random() < 0.5:
+            y = f([rng.randrange(d) for d in dom.torsion])
+            vec = [c + d * rng.randint(-2, 2) for c, d in zip(y, cod.torsion)]
+        else:
+            vec = [rng.randint(-9, 9) for _ in range(cod.ngens)]
+        x = f.preimage(vec)
+        assert (x is None) == (cod.reduce(vec) not in image)
+        if x is not None:
+            assert len(x) == dom.ngens and f(x) == cod.reduce(vec)
+        seen[x is None] += 1
+    assert seen[True] >= 100 and seen[False] >= 100, seen
 
 
 def test_solve_hom_equations_no_solution():

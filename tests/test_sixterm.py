@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 from oracles import sixterm_iso_bruteforce
-from sampling import invariant_corpus, random_valid_invariant
+from sampling import invariant_corpus, random_one_ideal_graph, random_valid_invariant
 
 import kclass.ext
 import kclass.groups
@@ -16,6 +16,7 @@ import kclass.sixterm
 import kclass.surd
 from kclass.cli import main
 from kclass.ext import ext1, extension_class, realize_extension
+from kclass.graphalg import _GraphK
 from kclass.groups import FgAbelianGroup, GroupHom, cokernel, kernel
 from kclass.matrix import IntMatrix
 from kclass.sixterm import (
@@ -554,7 +555,9 @@ def test_each_map_is_factored_once(monkeypatch):
     # loading an invariant factors each of its six maps once, to prove
     # exactness; the decision then reads the map shapes off those
     # factorizations and needs no Smith form of its own before the
-    # identity shortcut or a route
+    # identity shortcut or a route, and neither do the extension class of
+    # a K0 row that is short exact or the inverse of a map known to be an
+    # isomorphism
     calls = Counter()
     original = kclass.matrix.snf
 
@@ -568,10 +571,35 @@ def test_each_map_is_factored_once(monkeypatch):
     corpus = invariant_corpus(17, 80)
     invs = corpus + [_twisted(inv, rng) for inv in corpus[:40]]
     loaded = []
+    short_exact = 0
     for inv in invs:
         before = calls["snf"]
         loaded.append(SixTermInvariant.from_json(inv.to_json()))
         assert calls["snf"] - before == 6
+        maps = loaded[-1].maps
+        if maps["K1A->K0B"].is_zero() and maps["K0A->K1B"].is_zero():
+            extension_class(maps["K0B->K0E"], maps["K0E->K0A"])
+            assert calls["snf"] - before == 6
+            short_exact += 1
+    assert short_exact >= 40, short_exact
+
+    inverted = 0
+    for G in {G for inv in loaded for G in inv.groups.values()}:
+        for h in aut_generators(G):
+            assert h.is_isomorphism()
+            before = calls["snf"]
+            assert (h @ h.inverse()) == GroupHom.identity(G)
+            assert calls["snf"] == before
+            inverted += 1
+    assert inverted >= 20, inverted
+
+    # a graph's K-groups come from one factorization of its matrix
+    graph_rng = random.Random(23)
+    for _ in range(20):
+        g = random_one_ideal_graph(graph_rng)
+        before = calls["snf"]
+        _GraphK(g, af=False)
+        assert calls["snf"] - before == 1
 
     routes = ("_identity_witness", "_ext_route", "_general_search")
     for name in routes:
