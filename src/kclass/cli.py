@@ -301,10 +301,15 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    if args.pretty:
-        print(json.dumps(out, indent=2))
-    else:
-        print(json.dumps(out, separators=(",", ":")))
+    try:
+        text = (json.dumps(out, indent=2) if args.pretty
+                else json.dumps(out, separators=(",", ":")))
+    except ValueError:
+        # an integer past the interpreter's digit limit, as on reading
+        print(f"error: an output integer is past the {sys.get_int_max_str_digits():,}-digit "
+              "limit on writing integers", file=sys.stderr)
+        return UNSUPPORTED
+    print(text)
     return 0
 
 

@@ -49,8 +49,19 @@ class ExtGroup:
 
     @property
     def group(self) -> FgAbelianGroup:
-        """The abstract group, in canonical form."""
-        return Presentation(IntMatrix.diagonal(self.moduli)).group
+        """The abstract group, in canonical form: the sum of the cyclic
+        groups Z/m over the moduli, none of which is zero.  Replacing
+        Z/a + Z/b by Z/gcd + Z/lcm for every pair i < j in turn leaves
+        each order dividing all later ones."""
+        orders = list(self.moduli)
+        for i, a in enumerate(orders):
+            for j in range(i + 1, len(orders)):
+                b = orders[j]
+                g = gcd(a, b)
+                orders[j] = a // g * b
+                a = g
+            orders[i] = a
+        return FgAbelianGroup(0, tuple(m for m in orders if m > 1))
 
     @property
     def nblocks(self) -> int:
@@ -159,11 +170,10 @@ def realize_extension(x: ExtElement) -> tuple[FgAbelianGroup, GroupHom, GroupHom
         col = [-c for c in E.block(x.coords, i)] + [0] * na
         col[nb + A.free_rank + i] = d
         cols.append(col)
-    pres = Presentation(IntMatrix.from_columns(cols, rows=n))
-    G = pres.group
-    incl_cols = [pres.project(e) for e in identity_rows(n)[:nb]]
-    incl = GroupHom(B, G, IntMatrix.from_columns(incl_cols, rows=G.ngens))
-    proj_cols = [A.reduce(pres.lift(i)[nb:]) for i in range(G.ngens)]
+    q = Presentation(IntMatrix.from_columns(cols, rows=n)).quotient(FgAbelianGroup(n))
+    G = q.codomain
+    incl = GroupHom(B, G, IntMatrix([row[:nb] for row in q.matrix.data], cols=nb))
+    proj_cols = [A.reduce(q.preimage(e)[nb:]) for e in identity_rows(G.ngens)]
     proj = GroupHom(G, A, IntMatrix.from_columns(proj_cols, rows=A.ngens))
     return G, incl, proj
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import IntMatrix, kernel_basis, solve
+from .matrix import IntMatrix, identity_rows, kernel_basis
 from .groups import FgAbelianGroup, GroupHom, Presentation
 from .sixterm import (SixTermInvariant, all_positive_cone, standard_free_cone,
                       unordered_cone)
@@ -71,6 +71,9 @@ class DirectedGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "DirectedGraph":
+        # a string or an object would be read as its characters or keys
+        if not isinstance(data["vertices"], list):
+            raise TypeError("vertices must be a list")
         return cls(data["vertices"], IntMatrix(data["adjacency"]))
 
     def __repr__(self) -> str:
@@ -212,13 +215,13 @@ class _GraphK:
     """K-groups of a graph from M, the transposed adjacency minus the
     identity on the emitting columns (listed in ``regular``).
 
-    K1 is free on ``k1_basis``, the integer kernel of M.  K0 is the
-    cokernel of M, read in path-count coordinates when ``af`` is set,
-    which needs a graph without cycles.
+    ``classes`` maps Z^vertices onto K0, the cokernel of M, read in
+    path-count coordinates when ``af`` is set, which needs a graph
+    without cycles.  K1 is the integer kernel of M, and ``cycles`` maps
+    it into Z^regular, one basis vector per column.
     """
 
     def __init__(self, graph: DirectedGraph, af: bool):
-        self.af = af
         self.regular = [i for i in range(graph.n) if graph.is_regular(i)]
         cols = []
         for v in self.regular:
@@ -226,62 +229,36 @@ class _GraphK:
             col[v] -= 1
             cols.append(col)
         self.matrix = IntMatrix.from_columns(cols, rows=graph.n)
+        vertices = FgAbelianGroup(graph.n)
         if af:
-            self.k1_basis = kernel_basis(self.matrix)
-            # path-count coordinates: K0 is free on the sinks
+            basis = kernel_basis(self.matrix)
+            # path-count coordinates: K0 is free on the sinks, and a
+            # successor reaches fewer vertices, so its counts come first
             sinks = [i for i in range(graph.n) if not graph.is_regular(i)]
-            # a successor reaches fewer vertices, so its counts come first
             _, reach = _reach(graph)
             counts = {}
             for v in sorted(range(graph.n), key=lambda v: reach[v].bit_count()):
-                if v in sinks:
-                    vec = [0] * len(sinks)
-                    vec[sinks.index(v)] = 1
-                    counts[v] = vec
-                else:
-                    vec = [0] * len(sinks)
-                    for w in range(graph.n):
-                        m = graph.adjacency[v, w]
-                        if m:
-                            vec = [a + m * b for a, b in zip(vec, counts[w])]
-                    counts[v] = vec
-            self.k0 = FgAbelianGroup(len(sinks), ())
-            self._counts = IntMatrix.from_columns(
-                [counts[v] for v in range(graph.n)], rows=len(sinks))
-            self._sinks = sinks
+                vec = [int(v == s) for s in sinks]
+                for w in range(graph.n):
+                    m = graph.adjacency[v, w]
+                    if m:
+                        vec = [a + m * b for a, b in zip(vec, counts[w])]
+                counts[v] = vec
+            self.classes = GroupHom(vertices, FgAbelianGroup(len(sinks)), IntMatrix.from_columns(
+                [counts[v] for v in range(graph.n)], rows=len(sinks)))
         else:
-            self.pres = Presentation(self.matrix)
-            self.k1_basis = self.pres.dec.kernel()
-            self.k0 = self.pres.group
-        self.k1 = FgAbelianGroup(len(self.k1_basis), ())
-
-    def project(self, vec) -> tuple:
-        """K0 class of a vertex-space vector."""
-        if self.af:
-            return tuple(self._counts.apply(vec))
-        return self.pres.project(vec)
-
-    def lift(self, i: int) -> list:
-        """A vertex-space representative of K0 generator i."""
-        if self.af:
-            out = [0] * self._counts.cols
-            out[self._sinks[i]] = 1
-            return out
-        return list(self.pres.lift(i))
+            pres = Presentation(self.matrix)
+            basis = pres.dec.kernel()
+            self.classes = pres.quotient(vertices)
+        self.k0 = self.classes.codomain
+        self.k1 = FgAbelianGroup(len(basis))
+        self.cycles = GroupHom(self.k1, FgAbelianGroup(len(self.regular)),
+                               IntMatrix.from_columns(basis, rows=len(self.regular)))
 
 
 def graph_ktheory(g: DirectedGraph) -> GraphKTheory:
     kt = _GraphK(g, af=False)
-    k0 = kt.k0
-    cols = []
-    for i in range(g.n):
-        e = [0] * g.n
-        e[i] = 1
-        cols.append(kt.project(e))
-    free = FgAbelianGroup(g.n, ())
-    classes = GroupHom(free, k0, IntMatrix.from_columns(cols, rows=k0.ngens))
-    unit = k0.reduce(classes.matrix.apply([1] * g.n)) if g.n else k0.zero()
-    return GraphKTheory(k0, kt.k1, classes, unit)
+    return GraphKTheory(kt.k0, kt.k1, kt.classes, kt.classes([1] * g.n))
 
 
 def one_ideal_parts(g: DirectedGraph) -> tuple:
@@ -322,51 +299,43 @@ def one_ideal_invariant(g: DirectedGraph) -> SixTermInvariant:
     q_idx = [i for i in range(g.n) if i not in set(h_idx)]
     reg_pos = {v: c for c, v in enumerate(whole.regular)}
 
-    def pad_vertex(vec_local, idx):
-        out = [0] * g.n
-        for x, i in zip(vec_local, idx):
+    def pad(vec, idx, n):
+        out = [0] * n
+        for x, i in zip(vec, idx):
             out[i] = x
         return out
 
     # inclusion on K0: vertex classes of the ideal, viewed in the whole graph
-    cols = [whole.project(pad_vertex(side_b.lift(i), h_idx))
-            for i in range(side_b.k0.ngens)]
+    cols = [whole.classes(pad(side_b.classes.preimage(e), h_idx, g.n))
+            for e in identity_rows(side_b.k0.ngens)]
     iota0 = GroupHom(side_b.k0, whole.k0,
                      IntMatrix.from_columns(cols, rows=whole.k0.ngens))
     # projection on K0: drop the ideal coordinates
-    cols = []
-    for i in range(whole.k0.ngens):
-        amb = whole.lift(i)
-        cols.append(side_a.project([amb[j] for j in q_idx]))
+    lifts = [whole.classes.preimage(e) for e in identity_rows(whole.k0.ngens)]
+    cols = [side_a.classes([amb[j] for j in q_idx]) for amb in lifts]
     pi0 = GroupHom(whole.k0, side_a.k0,
                    IntMatrix.from_columns(cols, rows=side_a.k0.ngens))
     delta = GroupHom.zero(side_a.k0, side_b.k1)
 
-    # K1 maps ride on the kernel lattices
-    sub_reg_vertices = [h_idx[c] for c in side_b.regular]
-    quot_reg_vertices = [q_idx[c] for c in side_a.regular]
-    basis_e = IntMatrix.from_columns(whole.k1_basis, rows=len(whole.regular)) \
-        if whole.k1_basis else IntMatrix.zeros(len(whole.regular), 0)
+    # K1 maps ride on the kernel lattices; positions of the ideal's and
+    # the quotient's emitting vertices among those of the whole graph
+    sub_reg = [reg_pos[h_idx[c]] for c in side_b.regular]
+    quot_reg = [reg_pos[q_idx[c]] for c in side_a.regular]
+    nreg = len(whole.regular)
 
     cols = []
-    for vec in side_b.k1_basis:
-        padded = [0] * len(whole.regular)
-        for x, v in zip(vec, sub_reg_vertices):
-            padded[reg_pos[v]] = x
-        sol = solve(basis_e, padded)
+    for e in identity_rows(side_b.k1.ngens):
+        sol = whole.cycles.preimage(pad(side_b.cycles(e), sub_reg, nreg))
         if sol is None:
             raise RuntimeError("ideal cycle vector is missing upstairs")
         cols.append(sol)
     iota1 = GroupHom(side_b.k1, whole.k1,
                      IntMatrix.from_columns(cols, rows=whole.k1.ngens))
 
-    basis_a = IntMatrix.from_columns(side_a.k1_basis,
-                                     rows=len(side_a.regular)) \
-        if side_a.k1_basis else IntMatrix.zeros(len(side_a.regular), 0)
     cols = []
-    for vec in whole.k1_basis:
-        restricted = [vec[reg_pos[v]] for v in quot_reg_vertices]
-        sol = solve(basis_a, restricted)
+    for e in identity_rows(whole.k1.ngens):
+        vec = whole.cycles(e)
+        sol = side_a.cycles.preimage([vec[i] for i in quot_reg])
         if sol is None:
             raise RuntimeError("cycle vector does not restrict to the quotient")
         cols.append(sol)
@@ -376,12 +345,9 @@ def one_ideal_invariant(g: DirectedGraph) -> SixTermInvariant:
     # index map: push a quotient cycle vector through the whole matrix
     # and read off the ideal rows
     cols = []
-    for vec in side_a.k1_basis:
-        padded = [0] * len(whole.regular)
-        for x, v in zip(vec, quot_reg_vertices):
-            padded[reg_pos[v]] = x
-        img = whole.matrix.apply(padded)
-        cols.append(side_b.project([img[j] for j in h_idx]))
+    for e in identity_rows(side_a.k1.ngens):
+        img = whole.matrix.apply(pad(side_a.cycles(e), quot_reg, nreg))
+        cols.append(side_b.classes([img[j] for j in h_idx]))
     bdry = GroupHom(side_a.k1, side_b.k0,
                     IntMatrix.from_columns(cols, rows=side_b.k0.ngens))
 

@@ -16,8 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .matrix import (IntMatrix, identity_rows, kron, preimage_lattice, snf, solve,
-                     unimodular_inverse)
+from .matrix import IntMatrix, identity_rows, kron, preimage_lattice, snf, solve
 
 
 @dataclass(frozen=True)
@@ -108,17 +107,16 @@ class Presentation:
 
     The presented group is Z^n modulo the column span of ``rel`` (n =
     ``rel.rows``).  The Smith form of the relations yields the canonical
-    form together with explicit maps between ambient and canonical
-    coordinates; ``dec`` keeps that Smith form, for the kernel of ``rel``
-    and to solve against it.
+    form together with the quotient map from ambient coordinates; ``dec``
+    keeps that Smith form, for the kernel of ``rel`` and to solve against
+    it.
     """
 
-    __slots__ = ("group", "dec", "_uinv", "_free_idx", "_tor_idx", "_orders")
+    __slots__ = ("group", "dec", "_free_idx", "_tor_idx", "_orders")
 
     def __init__(self, rel: IntMatrix):
         n, q = rel.rows, rel.cols
         self.dec = dec = snf(rel)
-        self._uinv = None  # built by lift, the only reader
         ds = [dec.D[j, j] if j < min(n, q) else 0 for j in range(n)]
         self._free_idx = [j for j, d in enumerate(ds) if d == 0]
         self._tor_idx = [j for j, d in enumerate(ds) if d >= 2]
@@ -132,12 +130,13 @@ class Presentation:
         coords.extend(y[j] % d for j, d in zip(self._tor_idx, self._orders))
         return tuple(coords)
 
-    def lift(self, i: int) -> tuple[int, ...]:
-        """An ambient representative of canonical generator i."""
-        idx = (self._free_idx + self._tor_idx)[i]
-        if self._uinv is None:
-            self._uinv = unimodular_inverse(self.dec.U)
-        return self._uinv.column(idx)
+    def quotient(self, ambient: FgAbelianGroup) -> GroupHom:
+        """The map onto the presented group from ``ambient``, a group on
+        the n ambient coordinates whose relations lie in those of ``rel``:
+        the rows of U that carry a free or torsion generator."""
+        U = self.dec.U
+        return GroupHom(ambient, self.group, IntMatrix(
+            [U.row(j) for j in self._free_idx + self._tor_idx], cols=U.cols))
 
 
 class GroupHom:
@@ -261,21 +260,17 @@ def kernel(f: GroupHom) -> tuple[FgAbelianGroup, GroupHom]:
     span = f.kernel_span
     B = IntMatrix.from_columns(span, rows=G.ngens)
     rels = preimage_lattice(B, relation_matrix(G))
-    pres = Presentation(IntMatrix.from_columns(rels, rows=len(span)))
-    K = pres.group
-    cols = [B.apply(pres.lift(i)) for i in range(K.ngens)]
-    incl = GroupHom(K, G, IntMatrix.from_columns(cols, rows=G.ngens))
-    return K, incl
+    q = Presentation(IntMatrix.from_columns(rels, rows=len(span))).quotient(
+        FgAbelianGroup(len(span)))
+    K = q.codomain
+    cols = [B.apply(q.preimage(e)) for e in identity_rows(K.ngens)]
+    return K, GroupHom(K, G, IntMatrix.from_columns(cols, rows=G.ngens))
 
 
 def cokernel(f: GroupHom) -> tuple[FgAbelianGroup, GroupHom]:
     """Cokernel with the projection from the codomain."""
-    H = f.codomain
-    pres = f.presentation
-    C = pres.group
-    cols = [pres.project(e) for e in identity_rows(H.ngens)]
-    proj = GroupHom(H, C, IntMatrix.from_columns(cols, rows=C.ngens))
-    return C, proj
+    proj = f.presentation.quotient(f.codomain)
+    return proj.codomain, proj
 
 
 def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:

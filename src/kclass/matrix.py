@@ -68,14 +68,6 @@ class IntMatrix:
         return cls(identity_rows(n), cols=n)
 
     @classmethod
-    def diagonal(cls, entries: Sequence[int]) -> IntMatrix:
-        n = len(entries)
-        m = [[0] * n for _ in range(n)]
-        for i, d in enumerate(entries):
-            m[i][i] = d
-        return cls(m, cols=n)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> IntMatrix:
         if columns:
             rows = len(columns[0])

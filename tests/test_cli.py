@@ -1,4 +1,5 @@
 """End-to-end tests of the command line interface."""
+import hashlib
 import json
 import os
 import random
@@ -325,6 +326,60 @@ def test_json_integer_past_the_digit_limit_names_it(capsys, tmp_path):
     bad.write_text(f"[[{PAST_DIGIT_LIMIT}]]")
     rc, out, err = run_cli(capsys, "snf", str(bad))
     assert (rc, out, err) == (2, "", f"error: malformed JSON in {bad}: {DIGIT_LIMIT_MESSAGE}\n")
+
+
+def test_output_integer_past_the_digit_limit_exits_3(capsys, tmp_path):
+    # U and V of a 40 x 40 Smith form outgrow a 640-digit limit, as those
+    # of an 80 x 80 one outgrow the default 4,300 digits
+    rng = random.Random(1)
+    path = dump(tmp_path / "m.json", [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc, out, err = run_cli(capsys, "snf", path)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (rc, out, err) == (
+        3, "", "error: an output integer is past the 640-digit limit on writing integers\n")
+
+
+@pytest.mark.parametrize("vertices", ["ab", {"a": 0, "b": 1}])
+def test_vertices_that_are_not_a_list_exit_2(capsys, tmp_path, vertices):
+    # a string or an object would otherwise be read as its characters or keys
+    path = dump(tmp_path / "g.json", {"vertices": vertices, "adjacency": [[0, 1], [1, 0]]})
+    rc, out, err = run_cli(capsys, "graph", "kth", path)
+    assert (rc, out, err) == (2, "", f"error: bad graph in {path}: vertices must be a list\n")
+
+
+def _graphs_with_cycles():
+    """One-ideal graphs whose ideal [[2, 1], [1, 2]] has K1 = Z, under
+    quotients with K1 = 0 or Z, joined by m edges."""
+    for quot in ([[2]], [[3]], [[2, 1], [1, 2]]):
+        for m in (1, 2, 3):
+            k = len(quot)
+            adj = ([[2, 1] + [0] * k, [1, 2] + [0] * k]
+                   + [[m * (i == 0), 0] + row for i, row in enumerate(quot)])
+            yield DirectedGraph([f"v{i}" for i in range(2 + k)], IntMatrix(adj))
+
+
+# sha256 of the exit codes and outputs of `graph kth` and `graph invariant`
+# over the one-ideal graphs below
+GOLDEN_GRAPH_OUTPUT_DIGEST = "e11c8002139d5fcecd1030216fc8d5bc9c14079397bff6abe37e489b87b89ce5"
+
+
+def test_graph_outputs_match_the_golden_digest(capsys, tmp_path):
+    # the K-group maps are built from lifts of generators; every output map
+    # is well defined on classes, so no choice of lift may show here
+    rng = random.Random(2025)
+    sampled = [random_one_ideal_graph(rng, max_vertices=rng.choice((4, 6, 8)),
+                                      max_mult=rng.choice((1, 3))) for _ in range(150)]
+    digest = hashlib.sha256()
+    for i, g in enumerate(sampled + list(_graphs_with_cycles())):
+        path = dump(tmp_path / f"g{i}.json", g.to_json())
+        for cmd in ("kth", "invariant"):
+            rc, out, err = run_cli(capsys, "graph", cmd, path)
+            digest.update(f"{cmd}\t{rc}\t{out}\t{err}\n".encode())
+    assert digest.hexdigest() == GOLDEN_GRAPH_OUTPUT_DIGEST
 
 
 def test_unsupported_inputs_exit_3(capsys, tmp_path):

@@ -5,6 +5,8 @@ from math import gcd
 import pytest
 from oracles import ext_elements
 
+import kclass.groups
+import kclass.matrix
 from kclass.autgroups import aut_generators
 from kclass.ext import (
     ext1,
@@ -14,8 +16,8 @@ from kclass.ext import (
     push_element,
     realize_extension,
 )
-from kclass.groups import FgAbelianGroup, GroupHom
-from kclass.matrix import IntMatrix
+from kclass.groups import FgAbelianGroup, GroupHom, Presentation
+from kclass.matrix import IntMatrix, identity_rows
 
 Z = FgAbelianGroup(1, ())
 
@@ -51,6 +53,34 @@ def test_ext_torsion_by_free():
     # Ext(Z/m, Z) = Z/m
     for m in [2, 3, 12]:
         assert ext1(cyclic(m), Z).group == cyclic(m)
+
+
+def _random_chain(rng, length):
+    orders, d = [], rng.randint(2, 6)
+    for _ in range(length):
+        orders.append(d)
+        d *= rng.choice((1, 1, 2, 3, 5))
+    return tuple(orders)
+
+
+def test_ext_group_matches_the_smith_form_of_its_moduli(monkeypatch):
+    rng = random.Random(25)
+    for _ in range(300):
+        A = FgAbelianGroup(rng.randint(0, 1), _random_chain(rng, rng.randint(0, 4)))
+        B = FgAbelianGroup(rng.randint(0, 2), _random_chain(rng, rng.randint(0, 4)))
+        moduli = ext1(A, B).moduli
+        diag = [[m * x for x in row] for m, row in zip(moduli, identity_rows(len(moduli)))]
+        assert ext1(A, B).group == Presentation(IntMatrix(diag, cols=len(moduli))).group
+
+    # at the generator bound: 400 moduli, brought into canonical form by
+    # gcd and lcm alone
+    def refused(M):
+        raise AssertionError("snf called")
+    for module in (kclass.matrix, kclass.groups):
+        monkeypatch.setattr(module, "snf", refused)
+    A = FgAbelianGroup(0, (2,) * 10 + (6,) * 10)
+    B = FgAbelianGroup(10, (3,) * 10)
+    assert ext1(A, B).group == FgAbelianGroup(0, (6,) * 200)
 
 
 @pytest.mark.parametrize("m", range(2, 8))

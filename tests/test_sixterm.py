@@ -566,6 +566,14 @@ def test_each_map_is_factored_once(monkeypatch):
         return original(M)
     for module in (kclass.matrix, kclass.groups):
         monkeypatch.setattr(module, "snf", counted)
+    # every binding of the two solvers that lift without a hom's Smith form
+    for name in ("unimodular_inverse", "solve"):
+        def counted_solver(*args, name=name, original=getattr(kclass.matrix, name)):
+            calls[name] += 1
+            return original(*args)
+        for module in (kclass.matrix, kclass.groups, kclass.ext, kclass.graphalg):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted_solver)
 
     rng = random.Random(19)
     corpus = invariant_corpus(17, 80)
@@ -600,6 +608,39 @@ def test_each_map_is_factored_once(monkeypatch):
         before = calls["snf"]
         _GraphK(g, af=False)
         assert calls["snf"] - before == 1
+
+    # a one-ideal invariant factors its three graph matrices and proves its
+    # six maps exact; every other factorization is the cached one of a
+    # classes or cycles hom: K0 lifts and K1 coordinates are preimages
+    # under those, with no unimodular inverse and no solve
+    made = []
+
+    class Recorded(_GraphK):
+        def __init__(self, graph, af):
+            super().__init__(graph, af)
+            made.append(self)
+    monkeypatch.setattr(kclass.graphalg, "_GraphK", Recorded)
+    solvers = calls["unimodular_inverse"], calls["solve"]
+    lifted = 0
+    for _ in range(300):
+        g = random_one_ideal_graph(graph_rng)
+        made.clear()
+        before = calls["snf"]
+        kclass.graphalg.one_ideal_invariant(g)
+        cached = sum(h._presentation is not None for kt in made for h in (kt.classes, kt.cycles))
+        assert len(made) == 3 and calls["snf"] - before == 3 + 6 + cached
+        lifted += any(kt.cycles._presentation is not None for kt in made)
+    assert (calls["unimodular_inverse"], calls["solve"]) == solvers
+    assert lifted >= 8, lifted
+
+    # kernels and realized extensions lift through the quotient onto the
+    # kernel or the middle group, with no unimodular inverse
+    for inv in loaded[:60]:
+        for f in inv.maps.values():
+            kernel(f)
+        E = ext1(inv.groups["K0A"], inv.groups["K0B"])
+        realize_extension(E.element([rng.randint(0, 6) for _ in E.moduli]))
+    assert calls["unimodular_inverse"] == solvers[0]
 
     routes = ("_identity_witness", "_ext_route", "_general_search")
     for name in routes:
