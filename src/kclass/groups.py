@@ -12,9 +12,8 @@ generators).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .matrix import IntMatrix, identity_rows, kron, preimage_lattice, snf, solve
 
@@ -75,12 +74,6 @@ class FgAbelianGroup:
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.ngens
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        """All elements of a finite group."""
-        if not self.is_finite():
-            raise ValueError("cannot enumerate an infinite group")
-        yield from itertools.product(*(range(d) for d in self.torsion))
 
     def __str__(self) -> str:
         parts = []

@@ -14,6 +14,7 @@ never constrains the decision.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .matrix import IntMatrix
@@ -39,7 +40,7 @@ _TAGS = (ALL_POSITIVE, STANDARD_FREE, STATIONARY_DG, UNORDERED)
 
 # Search bounds of the decision.  A word ball is (radius, limit).
 PAIR_BUDGET = 10**4          # end pairs tried when some group is infinite
-CLOSURE_LIMIT = 10**5        # order automorphisms enumerated at an end
+CLOSURE_LIMIT = 10**5        # maps listed at one node
 ORBIT_LIMIT = 10**6          # extension class orbit states
 END_BALL = (4, 500)          # order automorphisms at an infinite end
 STATIONARY_BALL = (12, 500)  # the same at an end with a stationary cone
@@ -239,6 +240,8 @@ def validate_sixterm(inv: SixTermInvariant) -> list[str]:
 # Witness component names and the node each one acts on.
 _WITNESS_NODES = (("beta0", "K0B"), ("eta0", "K0E"), ("alpha0", "K0A"),
                   ("beta1", "K1B"), ("eta1", "K1E"), ("alpha1", "K1A"))
+# The nodes in cycle order: map i runs from node i to node i + 1.
+_CYCLE = tuple(node for _, node in _WITNESS_NODES)
 
 
 @dataclass
@@ -372,36 +375,42 @@ def _cokernels(inv: SixTermInvariant) -> list[FgAbelianGroup]:
 
 
 def _hom_space(A: FgAbelianGroup, B: FgAbelianGroup):
-    """All homomorphisms A -> B, or None when there are infinitely many."""
-    per_gen: list[list[tuple[int, ...]]] = []
-    for o in A.gen_orders:
-        if o == 0:
-            if not B.is_finite():
-                return None
-            per_gen.append(list(B.elements()))
-        else:
-            # images must be killed by o; only torsion coordinates can move
-            cands = []
-            free_zero = (0,) * B.free_rank
-            tor_ranges = [range(d) for d in B.torsion]
-            for tor in itertools.product(*tor_ranges):
-                if all((o * t) % d == 0 for t, d in zip(tor, B.torsion)):
-                    cands.append(free_zero + tor)
-            per_gen.append(cands)
-    out = []
-    for combo in itertools.product(*per_gen):
-        cols = [list(c) for c in combo]
-        out.append(GroupHom(A, B, IntMatrix.from_columns(cols, rows=B.ngens)))
-    return out
+    """All homomorphisms A -> B, or None when they are infinitely many or
+    more than CLOSURE_LIMIT."""
+    if B.free_rank and 0 in A.gen_orders:
+        return None
+    # a generator of order o (0 if free) sends a torsion coordinate of
+    # order d to the multiples of d / gcd(o, d), and its free ones to 0
+    if math.prod(math.gcd(o, d) for o in A.gen_orders for d in B.torsion) > CLOSURE_LIMIT:
+        return None
+    per_gen = [[(0,) * B.free_rank + tor for tor in itertools.product(
+                    *(range(0, d, d // math.gcd(o, d)) for d in B.torsion))]
+               for o in A.gen_orders]
+    return [GroupHom(A, B, IntMatrix.from_columns(combo, rows=B.ngens))
+            for combo in itertools.product(*per_gen)]
 
 
-def _solutions(particular: GroupHom, corrections):
-    yield particular
-    if corrections:
-        for d in corrections:
-            if not d.is_zero():
-                yield GroupHom(particular.domain, particular.codomain,
-                               particular.matrix + d.matrix)
+def _squares(inv1: SixTermInvariant, inv2: SixTermInvariant, node: str, known: dict):
+    """The (P, Q, target) hom equations on the map at ``node`` from the
+    squares it shares with each neighbour whose map is in ``known``,
+    incoming square first."""
+    i = _CYCLE.index(node)
+    before, after = _CYCLE[i - 1], _CYCLE[(i + 1) % len(_CYCLE)]
+    equations = []
+    if before in known:  # h f1 = f2 known[before]
+        into = f"{before}->{node}"
+        equations.append((None, inv1.maps[into], (inv2.maps[into] @ known[before]).matrix))
+    if after in known:  # f2 h = known[after] f1
+        out = f"{node}->{after}"
+        equations.append((inv2.maps[out], None, (known[after] @ inv1.maps[out]).matrix))
+    return equations
+
+
+def _fill(inv1: SixTermInvariant, inv2: SixTermInvariant, node: str, known: dict):
+    """One map at ``node`` making its squares with the known neighbours
+    commute, or None when none does."""
+    return solve_hom_equations(inv1.groups[node], inv2.groups[node],
+                               _squares(inv1, inv2, node, known))
 
 
 def _iso_pool(G1, c1, base: GroupHom):
@@ -461,10 +470,7 @@ def _ext_route(inv1: SixTermInvariant, inv2: SixTermInvariant,
     # and beta0 = base_b W.
     alpha0 = base_a @ U.inverse()
     beta0 = base_b @ W
-    eta0 = solve_hom_equations(
-        inv1.groups["K0E"], inv2.groups["K0E"],
-        [(None, iota1, (iota2 @ beta0).matrix),
-         (pi2, None, (alpha0 @ pi1).matrix)])
+    eta0 = _fill(inv1, inv2, "K0E", {"K0B": beta0, "K0A": alpha0})
     if eta0 is not None:
         g1, g2 = inv1.groups, inv2.groups
         w = Witness(beta0, eta0, alpha0, GroupHom.zero(g1["K1B"], g2["K1B"]),
@@ -482,8 +488,10 @@ def decide_iso_one_ideal(inv1: SixTermInvariant, inv2: SixTermInvariant) -> IsoV
     with a human-readable certificate, or Unknown when an exact search
     is out of reach.  When all six groups are finite the search space
     is finite and fully enumerated, so Unknown occurs only when an end
-    has more than CLOSURE_LIMIT automorphisms.  A cone beyond the exact
-    engines ends as Unknown with the engine's reason.
+    has more than CLOSURE_LIMIT automorphisms, or when the maps at K1B
+    or K1A number more than CLOSURE_LIMIT and a word ball samples that
+    node.  A cone beyond the exact engines ends as Unknown with the
+    engine's reason.
     """
     try:
         return _decide(inv1, inv2)
@@ -536,8 +544,6 @@ def _general_search(inv1: SixTermInvariant, inv2: SixTermInvariant,
     four remaining maps square by square.  Exhaustive when every group
     is finite."""
     g1, g2 = inv1.groups, inv2.groups
-    m1 = {k: inv1.maps[k] for k in MAP_KEYS}
-    m2 = {k: inv2.maps[k] for k in MAP_KEYS}
     all_finite = all(g1[n].is_finite() for n in NODES)
     budget = None if all_finite else PAIR_BUDGET
 
@@ -551,12 +557,12 @@ def _general_search(inv1: SixTermInvariant, inv2: SixTermInvariant,
     # map's square.  Distinct homs stay distinct under composition, since
     # proj is onto and incl is into.
     beta1_corr = None
-    Cok, proj = cokernel(m1["K0A->K1B"])
+    Cok, proj = cokernel(inv1.maps["K0A->K1B"])
     homs = _hom_space(Cok, g2["K1B"])
     if homs is not None:
         beta1_corr = [xi @ proj for xi in homs]
     alpha1_corr = None
-    Ker, incl = kernel(m2["K1A->K0B"])
+    Ker, incl = kernel(inv2.maps["K1A->K0B"])
     homs = _hom_space(g1["K1A"], Ker)
     if homs is not None:
         alpha1_corr = [incl @ xi for xi in homs]
@@ -566,15 +572,23 @@ def _general_search(inv1: SixTermInvariant, inv2: SixTermInvariant,
     # node enters balls only when the search has sampled it.
     balls: dict[str, list[GroupHom]] = {}
 
-    def bijective_candidates(node, particular, corrections, check):
-        for cand in _solutions(particular, corrections):
+    def bijective_candidates(node, particular, corrections, known):
+        """The isomorphisms among particular plus each correction, then,
+        when the corrections are not listed, among the ball elements that
+        make the squares with the known neighbours commute."""
+        sums = (GroupHom(particular.domain, particular.codomain, particular.matrix + d.matrix)
+                for d in corrections or () if not d.is_zero())
+        for cand in itertools.chain([particular], sums):
             if cand.is_isomorphism():
                 yield cand
         if corrections is None:
             if node not in balls:
                 balls[node] = word_ball(aut_generators(g1[node]), *FALLBACK_BALL)
+            equations = _squares(inv1, inv2, node, known)
             for h in balls[node]:
-                if check(h) and h.is_isomorphism():
+                # each square composes h on one side; targets are reduced matrices
+                if all((h @ Q if P is None else P @ h).matrix == target
+                       for P, Q, target in equations) and h.is_isomorphism():
                     yield h
 
     # Five lemma: once beta0, alpha0, beta1 and alpha1 are isomorphisms
@@ -585,37 +599,19 @@ def _general_search(inv1: SixTermInvariant, inv2: SixTermInvariant,
         seen_pairs += 1
         if budget is not None and seen_pairs > budget:
             return unknown("pair budget exhausted before a decision")
-        eta0 = solve_hom_equations(
-            g1["K0E"], g2["K0E"],
-            [(None, m1["K0B->K0E"], (m2["K0B->K0E"] @ beta0).matrix),
-             (m2["K0E->K0A"], None, (alpha0 @ m1["K0E->K0A"]).matrix)])
+        known = {"K0B": beta0, "K0A": alpha0}
+        eta0 = _fill(inv1, inv2, "K0E", known)
         if eta0 is None:
             continue
-        beta1_part = solve_hom_equations(
-            g1["K1B"], g2["K1B"],
-            [(None, m1["K0A->K1B"], (m2["K0A->K1B"] @ alpha0).matrix)])
+        beta1_part = _fill(inv1, inv2, "K1B", known)
         if beta1_part is None:
             continue
-        alpha1_part = solve_hom_equations(
-            g1["K1A"], g2["K1A"],
-            [(m2["K1A->K0B"], None, (beta0 @ m1["K1A->K0B"]).matrix)])
+        alpha1_part = _fill(inv1, inv2, "K1A", known)
         if alpha1_part is None:
             continue
-
-        def beta1_check(h, alpha0=alpha0):
-            return h @ m1["K0A->K1B"] == m2["K0A->K1B"] @ alpha0
-
-        def alpha1_check(h, beta0=beta0):
-            return m2["K1A->K0B"] @ h == beta0 @ m1["K1A->K0B"]
-
-        for beta1 in bijective_candidates("K1B", beta1_part, beta1_corr,
-                                          beta1_check):
-            for alpha1 in bijective_candidates("K1A", alpha1_part, alpha1_corr,
-                                               alpha1_check):
-                eta1 = solve_hom_equations(
-                    g1["K1E"], g2["K1E"],
-                    [(None, m1["K1B->K1E"], (m2["K1B->K1E"] @ beta1).matrix),
-                     (m2["K1E->K1A"], None, (alpha1 @ m1["K1E->K1A"]).matrix)])
+        for beta1 in bijective_candidates("K1B", beta1_part, beta1_corr, known):
+            for alpha1 in bijective_candidates("K1A", alpha1_part, alpha1_corr, known):
+                eta1 = _fill(inv1, inv2, "K1E", {"K1B": beta1, "K1A": alpha1})
                 if eta1 is None:
                     continue
                 w = Witness(beta0, eta0, alpha0, beta1, eta1, alpha1)

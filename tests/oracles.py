@@ -134,12 +134,20 @@ def hereditary_saturated_sets_bruteforce(g) -> list[IdealDatum]:
     return out
 
 
+def elements(G):
+    """Every element of the finite group G, as coordinate tuples in
+    lexicographic order."""
+    if not G.is_finite():
+        raise ValueError("cannot enumerate an infinite group")
+    return itertools.product(*(range(d) for d in G.torsion))
+
+
 def is_exact_pair_bruteforce(f, g) -> bool:
     """Whether image(f) equals kernel(g), by listing every element of the
     finite groups involved."""
-    image = {f(x) for x in f.domain.elements()}
+    image = {f(x) for x in elements(f.domain)}
     zero = g.codomain.zero()
-    return image == {y for y in g.domain.elements() if g(y) == zero}
+    return image == {y for y in elements(g.domain) if g(y) == zero}
 
 
 def is_exact_pair_by_invariant_factors(f, g) -> bool:
@@ -180,7 +188,7 @@ def homs_bruteforce(G, H) -> list[GroupHom]:
     if not (G.is_finite() and H.is_finite()):
         raise ValueError("brute enumeration needs finite groups")
     out = []
-    for imgs in itertools.product(list(H.elements()), repeat=G.ngens):
+    for imgs in itertools.product(list(elements(H)), repeat=G.ngens):
         if all(H.reduce([o * c for c in img]) == H.zero()
                for o, img in zip(G.gen_orders, imgs)):
             out.append(GroupHom(G, H, IntMatrix.from_columns(imgs, rows=H.ngens)))
@@ -370,11 +378,11 @@ def _automorphism_tables(G) -> list[tuple[int, ...]]:
     """Element tables of every automorphism of the finite group G.
 
     A table lists the index of the image of each element of
-    ``G.elements()``.  Every choice of generator images that each
+    ``elements(G)``.  Every choice of generator images that each
     generator's order kills gives a homomorphism; the automorphisms are
     those whose table is a bijection.
     """
-    elems = list(G.elements())
+    elems = list(elements(G))
     index = {x: i for i, x in enumerate(elems)}
     zero = G.zero()
     out = []
@@ -409,7 +417,7 @@ def sixterm_iso_bruteforce(inv1, inv2) -> bool:
         if (inv1.cones[node].tag != inv2.cones[node].tag
                 and not groups[node].is_trivial()):
             return False
-    elems = {n: list(G.elements()) for n, G in groups.items()}
+    elems = {n: list(elements(G)) for n, G in groups.items()}
     index = {n: {x: i for i, x in enumerate(es)} for n, es in elems.items()}
 
     def tables(inv):

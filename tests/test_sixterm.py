@@ -6,7 +6,7 @@ import time
 from collections import Counter
 
 import pytest
-from oracles import sixterm_iso_bruteforce
+from oracles import homs_bruteforce, sixterm_iso_bruteforce
 from sampling import invariant_corpus, random_one_ideal_graph, random_valid_invariant
 
 import kclass.ext
@@ -577,7 +577,7 @@ def test_each_map_is_factored_once(monkeypatch):
 
     rng = random.Random(19)
     corpus = invariant_corpus(17, 80)
-    invs = corpus + [_twisted(inv, rng) for inv in corpus[:40]]
+    invs = corpus + [_twisted(inv, rng)[0] for inv in corpus[:40]]
     loaded = []
     short_exact = 0
     for inv in invs:
@@ -674,7 +674,8 @@ def test_exhausted_budget_is_a_result_on_the_command_line(monkeypatch, capsys, t
 
 
 def _twisted(inv, rng):
-    """A copy of inv with every map conjugated by random automorphisms."""
+    """A copy of inv with every map conjugated by random automorphisms,
+    and the twist phi: an isomorphism from inv to the copy."""
     phi = {}
     for node in NODES:
         G = inv.groups[node]
@@ -686,7 +687,7 @@ def _twisted(inv, rng):
     for key in MAP_KEYS:
         src, dst = key.split("->")
         maps[key] = phi[dst] @ inv.maps[key] @ phi[src].inverse()
-    return SixTermInvariant(dict(inv.groups), maps, dict(inv.cones))
+    return SixTermInvariant(dict(inv.groups), maps, dict(inv.cones)), phi
 
 
 def test_decision_matches_bruteforce_oracle_on_finite_invariants():
@@ -694,7 +695,7 @@ def test_decision_matches_bruteforce_oracle_on_finite_invariants():
     small = [inv for inv in invariant_corpus(11, 300)
              if all(G.order() is not None and G.order() <= 72
                     for G in inv.groups.values())]
-    pairs = [(inv, _twisted(inv, rng)) for inv in small]
+    pairs = [(inv, _twisted(inv, rng)[0]) for inv in small]
     for a, b in itertools.combinations(small, 2):
         if a.groups == b.groups:
             pairs.append((a, b))
@@ -717,10 +718,121 @@ def test_map_shapes_from_cokernels_match_kernel_and_cokernel():
     # shape off the six cokernels, checked here against both computed
     rng = random.Random(14)
     invs = invariant_corpus(13, 120) + [random_valid_invariant(rng) for _ in range(100)]
-    invs += [_twisted(inv, rng) for inv in invs[:100]]
+    invs += [_twisted(inv, rng)[0] for inv in invs[:100]]
     assert len(invs) >= 300
     for inv in invs:
         cok = kclass.sixterm._cokernels(inv)
         for i, key in enumerate(MAP_KEYS):
             h = inv.maps[key]
             assert (cok[i - 2], cok[i]) == (kernel(h)[0], cokernel(h)[0])
+
+
+def _holds(h, equations):
+    """Whether h satisfies every hom equation (P, Q, target)."""
+    for P, Q, target in equations:
+        lhs = h if Q is None else h @ Q
+        lhs = lhs if P is None else P @ lhs
+        if lhs != GroupHom(lhs.domain, lhs.codomain, target):
+            return False
+    return True
+
+
+def test_squares_hold_at_the_twist_and_fill_solves_them():
+    # the cycle, written out here: map i runs from CYCLE[i] to CYCLE[i + 1]
+    cycle = ("K0B", "K0E", "K0A", "K1B", "K1E", "K1A")
+    assert [f"{a}->{b}" for a, b in zip(cycle, cycle[1:] + cycle[:1])] == list(MAP_KEYS)
+    rng = random.Random(26)
+    invs = invariant_corpus(17, 60) + [random_valid_invariant(rng) for _ in range(60)]
+    moved = 0
+    for inv in invs:
+        twin, phi = _twisted(inv, rng)
+        moved += any(twin.maps[k] != inv.maps[k] for k in MAP_KEYS)
+        for i, node in enumerate(cycle):
+            before, after = cycle[i - 1], cycle[(i + 1) % 6]
+            for near in ((), (before,), (after,), (before, after)):
+                known = {n: phi[n] for n in near}
+                equations = kclass.sixterm._squares(inv, twin, node, known)
+                assert len(equations) == len(near)
+                if near:  # the incoming square, which has a pre-map, comes first
+                    assert (equations[0][1] is None) == (near[0] == after)
+                assert _holds(phi[node], equations)
+                h = kclass.sixterm._fill(inv, twin, node, known)
+                assert h is not None and _holds(h, equations)
+    assert moved >= 60
+
+
+def test_hom_space_matches_bruteforce_in_order():
+    groups = [FgAbelianGroup(0, t) for t in
+              ((), (2,), (3,), (4,), (6,), (2, 2), (2, 4), (3, 6), (2, 2, 2))]
+    checked = 0
+    for A, B in itertools.product(groups, repeat=2):
+        brute = homs_bruteforce(A, B)
+        if len(brute) > 600:
+            continue
+        assert kclass.sixterm._hom_space(A, B) == brute
+        checked += 1
+    assert checked >= 60
+    # a free generator into a finite group goes anywhere
+    assert kclass.sixterm._hom_space(Z, Z3) == [hom(Z, Z3, [[c]]) for c in range(3)]
+
+
+def test_hom_space_into_z_plus_z2():
+    ZZ2 = FgAbelianGroup(1, (2,))
+    hom_space = kclass.sixterm._hom_space
+    # a free generator can go to any multiple of the free generator
+    assert hom_space(Z, ZZ2) is None
+    assert hom_space(ZZ2, ZZ2) is None
+    # a torsion generator goes to torsion of order dividing its own
+    assert hom_space(Z3, ZZ2) == [hom(Z3, ZZ2)]
+    assert hom_space(FgAbelianGroup(0, (4,)), ZZ2) == [
+        hom(FgAbelianGroup(0, (4,)), ZZ2, [[0], [c]]) for c in range(2)]
+    V = FgAbelianGroup(0, (2, 2))
+    assert hom_space(V, ZZ2) == [hom(V, ZZ2, [[0, 0], [a, b]])
+                                 for a in range(2) for b in range(2)]
+    assert hom_space(TRIV, ZZ2) == [hom(TRIV, ZZ2)]
+
+
+def test_hom_space_past_the_closure_limit_is_none(monkeypatch):
+    V = FgAbelianGroup(0, (2, 4))
+    # Hom(Z/2 + Z/4, Z/2 + Z/4) has 2 * 2 * 2 * 4 = 32 elements
+    assert len(kclass.sixterm._hom_space(V, V)) == 32
+    monkeypatch.setattr(kclass.sixterm, "CLOSURE_LIMIT", 32)
+    assert len(kclass.sixterm._hom_space(V, V)) == 32
+    monkeypatch.setattr(kclass.sixterm, "CLOSURE_LIMIT", 31)
+    assert kclass.sixterm._hom_space(V, V) is None
+    assert len(kclass.sixterm._hom_space(Z2, V)) == 4
+
+
+def k1_hexagon(k1b, k1e, k1a, maps):
+    """A cycle whose K0 row is trivial, with the given K1 groups and K1
+    maps; the other maps are zero."""
+    groups = {"K0B": TRIV, "K0E": TRIV, "K0A": TRIV, "K1B": k1b, "K1E": k1e, "K1A": k1a}
+    full = {}
+    for key in MAP_KEYS:
+        src, dst = key.split("->")
+        full[key] = maps.get(key) or hom(groups[src], groups[dst])
+    cones = {n: unordered_cone() for n in ("K0B", "K0E", "K0A")}
+    return SixTermInvariant(groups, full, cones)
+
+
+def crowded_pair(node):
+    """Two isomorphic cycles with more than CLOSURE_LIMIT maps correcting
+    a solution at ``node``: at K1B, Hom((Z/2)^5, (Z/2)^5) with 2^25 maps
+    (the identity against a transvection); at K1A, Hom(Z/10^6, Z/10^6)
+    (multiplication by 1 against 3)."""
+    if node == "K1B":
+        V = FgAbelianGroup(0, (2,) * 5)
+        mats = ([[int(i == j) for j in range(5)] for i in range(5)],
+                [[int(i == j or (i, j) == (0, 1)) for j in range(5)] for i in range(5)])
+        return [k1_hexagon(V, V, TRIV, {"K1B->K1E": hom(V, V, m)}) for m in mats]
+    C = FgAbelianGroup(0, (10**6,))
+    return [k1_hexagon(TRIV, C, C, {"K1E->K1A": hom(C, C, [[u]])}) for u in (1, 3)]
+
+
+@pytest.mark.parametrize("node", ["K1B", "K1A"])
+def test_node_with_too_many_maps_is_sampled_not_listed(node):
+    s, t = crowded_pair(node)
+    start = time.perf_counter()
+    v = decide_iso_one_ideal(s, t)
+    assert time.perf_counter() - start < 2.0
+    assert v.status == "isomorphic" and verify_witness(s, t, v.witness)
