@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .matrix import IntMatrix
+from .matrix import identity_rows
 from .groups import FgAbelianGroup, GroupHom
 
 
@@ -41,15 +41,6 @@ def unit_group_generators(d: int) -> list[int]:
     return gens
 
 
-def _identity_cols(G: FgAbelianGroup) -> list[list[int]]:
-    n = G.ngens
-    return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-
-
-def _hom_from_cols(G: FgAbelianGroup, cols: Sequence[Sequence[int]]) -> GroupHom:
-    return GroupHom(G, G, IntMatrix.from_columns(cols, rows=G.ngens))
-
-
 def aut_generators(G: FgAbelianGroup) -> list[GroupHom]:
     """Automorphisms generating Aut(G).
 
@@ -65,45 +56,46 @@ def aut_generators(G: FgAbelianGroup) -> list[GroupHom]:
     k = len(tor)
     gens: list[GroupHom] = []
 
+    # each generator edits the images of the identity, whose rows are its columns
     for f in range(r - 1):
-        cols = _identity_cols(G)
+        cols = identity_rows(G.ngens)
         cols[f], cols[f + 1] = cols[f + 1], cols[f]
-        gens.append(_hom_from_cols(G, cols))
+        gens.append(GroupHom.from_images(G, G, cols))
     if r >= 1:
-        cols = _identity_cols(G)
+        cols = identity_rows(G.ngens)
         cols[0] = [-c for c in cols[0]]
-        gens.append(_hom_from_cols(G, cols))
+        gens.append(GroupHom.from_images(G, G, cols))
     if r >= 2:
-        cols = _identity_cols(G)
+        cols = identity_rows(G.ngens)
         cols[0][1] += 1
-        gens.append(_hom_from_cols(G, cols))
+        gens.append(GroupHom.from_images(G, G, cols))
 
     for i, d in enumerate(tor):
         for u in unit_group_generators(d):
-            cols = _identity_cols(G)
+            cols = identity_rows(G.ngens)
             cols[r + i][r + i] = u
-            gens.append(_hom_from_cols(G, cols))
+            gens.append(GroupHom.from_images(G, G, cols))
 
     for a in range(k):
         for b in range(k):
             if a == b:
                 continue
             lam = tor[b] // gcd(tor[a], tor[b])
-            cols = _identity_cols(G)
+            cols = identity_rows(G.ngens)
             cols[r + a][r + b] += lam
-            gens.append(_hom_from_cols(G, cols))
+            gens.append(GroupHom.from_images(G, G, cols))
 
     for a in range(k - 1):
         if tor[a] == tor[a + 1]:
-            cols = _identity_cols(G)
+            cols = identity_rows(G.ngens)
             cols[r + a], cols[r + a + 1] = cols[r + a + 1], cols[r + a]
-            gens.append(_hom_from_cols(G, cols))
+            gens.append(GroupHom.from_images(G, G, cols))
 
     for f in range(r):
         for i in range(k):
-            cols = _identity_cols(G)
+            cols = identity_rows(G.ngens)
             cols[f][r + i] += 1
-            gens.append(_hom_from_cols(G, cols))
+            gens.append(GroupHom.from_images(G, G, cols))
 
     return gens
 

@@ -9,6 +9,8 @@ matrices through the left Perron eigenvector in its quadratic field.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .matrix import IntMatrix, unimodular_inverse
 from .surd import (
     QuadraticIrrational,
@@ -25,26 +27,20 @@ from . import verdict as V
 CONJUGACY_BUDGET = 10**5
 
 
+@dataclass(frozen=True)
 class StationaryDimensionGroup:
     """lim(Z^n -> Z^n -> ...) along a fixed square integer matrix."""
 
-    __slots__ = ("matrix", "n", "ordered")
+    matrix: IntMatrix
+    # derived from the matrix, so left out of equality and hashing
+    n: int = field(init=False, compare=False)
+    ordered: bool = field(init=False, compare=False)
 
-    def __init__(self, matrix: IntMatrix):
-        if matrix.rows != matrix.cols:
+    def __post_init__(self):
+        if self.matrix.rows != self.matrix.cols:
             raise ValueError("stationary dimension group needs a square matrix")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "n", matrix.rows)
-        object.__setattr__(self, "ordered", matrix.is_nonnegative())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StationaryDimensionGroup is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StationaryDimensionGroup) and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
+        object.__setattr__(self, "n", self.matrix.rows)
+        object.__setattr__(self, "ordered", self.matrix.is_nonnegative())
 
     def is_primitive(self) -> bool:
         """Some power strictly positive; Wielandt's exponent bound."""
@@ -145,6 +141,7 @@ def cone_stabilizer_generator(G: StationaryDimensionGroup) -> IntMatrix:
     return U
 
 
+@dataclass(frozen=True)
 class SubstitutionInvariant:
     """The finite comparison data (n, p, A, A~) of a substitution system.
 
@@ -153,12 +150,17 @@ class SubstitutionInvariant:
     equals A.  A itself is nonnegative.
     """
 
-    __slots__ = ("n", "p", "A", "A_tilde")
+    __slots__ = ("n", "p", "A", "A_tilde")  # a batch keeps every invariant it loads
+    n: int
+    p: tuple[int, ...]
+    A: IntMatrix
+    A_tilde: IntMatrix
 
-    def __init__(self, n: int, p, A: IntMatrix, A_tilde: IntMatrix):
+    def __post_init__(self):
+        n, A, A_tilde = self.n, self.A, self.A_tilde
         if n < 1:
             raise ValueError("need at least one distinguished generator")
-        p = tuple(p)
+        p = tuple(self.p)
         if len(p) != n:
             raise ValueError("distinguished vector length differs from n")
         if A.rows != A.cols or A.rows < 1:
@@ -176,24 +178,11 @@ class SubstitutionInvariant:
             for j in range(m):
                 if A_tilde[n + i, n + j] != A[i, j]:
                     raise ValueError("lower-right block of A~ must equal A")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "A_tilde", A_tilde)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubstitutionInvariant is immutable")
 
     @property
     def alphabet_size(self) -> int:
         return self.A.rows
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SubstitutionInvariant) and self.n == other.n
-                and self.p == other.p and self.A == other.A and self.A_tilde == other.A_tilde)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.p, self.A, self.A_tilde))
 
     def to_json(self) -> dict:
         return {"n": self.n, "p": list(self.p), "A": self.A.to_lists(),

@@ -16,6 +16,7 @@ sequence and does not prove exactness again.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
@@ -23,29 +24,19 @@ from .matrix import IntMatrix, identity_rows, kron
 from .groups import FgAbelianGroup, GroupHom, Presentation
 
 
+@dataclass(frozen=True, repr=False)
 class ExtGroup:
     """Ext(source, target) with a basis aligned to the source's torsion generators."""
 
-    __slots__ = ("source", "target", "moduli")
+    source: FgAbelianGroup
+    target: FgAbelianGroup
+    # derived from the two groups, so left out of equality and hashing
+    moduli: tuple[int, ...] = field(init=False, compare=False)
 
-    def __init__(self, source: FgAbelianGroup, target: FgAbelianGroup):
-        moduli = []
-        for d in source.torsion:
-            for e in target.gen_orders:
-                moduli.append(d if e == 0 else gcd(d, e))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "moduli", tuple(moduli))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtGroup is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ExtGroup) and self.source == other.source
-                and self.target == other.target)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target))
+    def __post_init__(self):
+        object.__setattr__(self, "moduli", tuple(d if e == 0 else gcd(d, e)
+                                                 for d in self.source.torsion
+                                                 for e in self.target.gen_orders))
 
     @property
     def group(self) -> FgAbelianGroup:
@@ -77,7 +68,7 @@ class ExtGroup:
         return tuple(x % m if m else 0 for x, m in zip(coords, self.moduli))
 
     def element(self, coords: Sequence[int]) -> ExtElement:
-        return ExtElement(self, self.reduce(coords))
+        return ExtElement(self, coords)
 
     def zero(self) -> ExtElement:
         return self.element((0,) * len(self.moduli))
@@ -90,24 +81,15 @@ class ExtGroup:
         return f"ExtGroup({self.source} by {self.target}: {self.group})"
 
 
+@dataclass(frozen=True, repr=False)
 class ExtElement:
     """An element of an ExtGroup, in reduced block coordinates."""
 
-    __slots__ = ("group", "coords")
+    group: ExtGroup
+    coords: tuple[int, ...]
 
-    def __init__(self, group: ExtGroup, coords: Sequence[int]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", group.reduce(coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtElement is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ExtElement) and self.group == other.group
-                and self.coords == other.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.coords))
+    def __post_init__(self):
+        object.__setattr__(self, "coords", self.group.reduce(self.coords))
 
     def __repr__(self) -> str:
         return f"ExtElement({self.coords} in {self.group.group})"
@@ -173,8 +155,8 @@ def realize_extension(x: ExtElement) -> tuple[FgAbelianGroup, GroupHom, GroupHom
     q = Presentation(IntMatrix.from_columns(cols, rows=n)).quotient(FgAbelianGroup(n))
     G = q.codomain
     incl = GroupHom(B, G, IntMatrix([row[:nb] for row in q.matrix.data], cols=nb))
-    proj_cols = [A.reduce(q.preimage(e)[nb:]) for e in identity_rows(G.ngens)]
-    proj = GroupHom(G, A, IntMatrix.from_columns(proj_cols, rows=A.ngens))
+    proj = GroupHom.from_images(G, A, [A.reduce(q.preimage(e)[nb:])
+                                       for e in identity_rows(G.ngens)])
     return G, incl, proj
 
 

@@ -27,18 +27,21 @@ MAX_VERTICES = 20
 MAX_IDEALS = 2**16
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class DirectedGraph:
-    """Finite directed graph with parallel edges.
+    """Finite directed graph with parallel edges, compared by identity.
 
     ``adjacency[i, j]`` counts the edges from vertex i to vertex j.
     """
 
-    __slots__ = ("vertices", "adjacency")
+    vertices: list
+    adjacency: IntMatrix
 
-    def __init__(self, vertices, adjacency):
-        vertices = list(vertices)
+    def __post_init__(self):
+        vertices = list(self.vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("vertex labels must be distinct")
+        adjacency = self.adjacency
         if not isinstance(adjacency, IntMatrix):
             adjacency = IntMatrix(adjacency)
         if adjacency.rows != adjacency.cols or adjacency.rows != len(vertices):
@@ -47,9 +50,6 @@ class DirectedGraph:
             raise ValueError("edge counts must be nonnegative")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "adjacency", adjacency)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DirectedGraph is immutable")
 
     @property
     def n(self) -> int:
@@ -244,16 +244,15 @@ class _GraphK:
                     if m:
                         vec = [a + m * b for a, b in zip(vec, counts[w])]
                 counts[v] = vec
-            self.classes = GroupHom(vertices, FgAbelianGroup(len(sinks)), IntMatrix.from_columns(
-                [counts[v] for v in range(graph.n)], rows=len(sinks)))
+            self.classes = GroupHom.from_images(vertices, FgAbelianGroup(len(sinks)),
+                                                [counts[v] for v in range(graph.n)])
         else:
             pres = Presentation(self.matrix)
             basis = pres.dec.kernel()
             self.classes = pres.quotient(vertices)
         self.k0 = self.classes.codomain
         self.k1 = FgAbelianGroup(len(basis))
-        self.cycles = GroupHom(self.k1, FgAbelianGroup(len(self.regular)),
-                               IntMatrix.from_columns(basis, rows=len(self.regular)))
+        self.cycles = GroupHom.from_images(self.k1, FgAbelianGroup(len(self.regular)), basis)
 
 
 def graph_ktheory(g: DirectedGraph) -> GraphKTheory:
@@ -306,15 +305,13 @@ def one_ideal_invariant(g: DirectedGraph) -> SixTermInvariant:
         return out
 
     # inclusion on K0: vertex classes of the ideal, viewed in the whole graph
-    cols = [whole.classes(pad(side_b.classes.preimage(e), h_idx, g.n))
-            for e in identity_rows(side_b.k0.ngens)]
-    iota0 = GroupHom(side_b.k0, whole.k0,
-                     IntMatrix.from_columns(cols, rows=whole.k0.ngens))
+    iota0 = GroupHom.from_images(side_b.k0, whole.k0, [
+        whole.classes(pad(side_b.classes.preimage(e), h_idx, g.n))
+        for e in identity_rows(side_b.k0.ngens)])
     # projection on K0: drop the ideal coordinates
     lifts = [whole.classes.preimage(e) for e in identity_rows(whole.k0.ngens)]
-    cols = [side_a.classes([amb[j] for j in q_idx]) for amb in lifts]
-    pi0 = GroupHom(whole.k0, side_a.k0,
-                   IntMatrix.from_columns(cols, rows=side_a.k0.ngens))
+    pi0 = GroupHom.from_images(whole.k0, side_a.k0,
+                               [side_a.classes([amb[j] for j in q_idx]) for amb in lifts])
     delta = GroupHom.zero(side_a.k0, side_b.k1)
 
     # K1 maps ride on the kernel lattices; positions of the ideal's and
@@ -329,8 +326,7 @@ def one_ideal_invariant(g: DirectedGraph) -> SixTermInvariant:
         if sol is None:
             raise RuntimeError("ideal cycle vector is missing upstairs")
         cols.append(sol)
-    iota1 = GroupHom(side_b.k1, whole.k1,
-                     IntMatrix.from_columns(cols, rows=whole.k1.ngens))
+    iota1 = GroupHom.from_images(side_b.k1, whole.k1, cols)
 
     cols = []
     for e in identity_rows(whole.k1.ngens):
@@ -339,8 +335,7 @@ def one_ideal_invariant(g: DirectedGraph) -> SixTermInvariant:
         if sol is None:
             raise RuntimeError("cycle vector does not restrict to the quotient")
         cols.append(sol)
-    pi1 = GroupHom(whole.k1, side_a.k1,
-                   IntMatrix.from_columns(cols, rows=side_a.k1.ngens))
+    pi1 = GroupHom.from_images(whole.k1, side_a.k1, cols)
 
     # index map: push a quotient cycle vector through the whole matrix
     # and read off the ideal rows
@@ -348,8 +343,7 @@ def one_ideal_invariant(g: DirectedGraph) -> SixTermInvariant:
     for e in identity_rows(side_a.k1.ngens):
         img = whole.matrix.apply(pad(side_a.cycles(e), quot_reg, nreg))
         cols.append(side_b.classes([img[j] for j in h_idx]))
-    bdry = GroupHom(side_a.k1, side_b.k0,
-                    IntMatrix.from_columns(cols, rows=side_b.k0.ngens))
+    bdry = GroupHom.from_images(side_a.k1, side_b.k0, cols)
 
     return SixTermInvariant(
         {"K0B": side_b.k0, "K0E": whole.k0, "K0A": side_a.k0,

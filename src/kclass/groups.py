@@ -132,6 +132,7 @@ class Presentation:
             [U.row(j) for j in self._free_idx + self._tor_idx], cols=U.cols))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class GroupHom:
     """A homomorphism between groups in canonical form.
 
@@ -146,7 +147,11 @@ class GroupHom:
     reader: (co)kernel, preimages, inverse, surjectivity and exactness.
     """
 
+    # _presentation is a slot, not a field: equality and hashing skip it
     __slots__ = ("domain", "codomain", "matrix", "_presentation")
+    domain: FgAbelianGroup
+    codomain: FgAbelianGroup
+    matrix: IntMatrix
 
     def __init__(self, domain: FgAbelianGroup, codomain: FgAbelianGroup, matrix: IntMatrix):
         if matrix.rows != codomain.ngens or matrix.cols != domain.ngens:
@@ -171,9 +176,6 @@ class GroupHom:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_presentation", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupHom is immutable")
-
     @classmethod
     def identity(cls, G: FgAbelianGroup) -> GroupHom:
         return cls(G, G, IntMatrix.identity(G.ngens))
@@ -181,6 +183,12 @@ class GroupHom:
     @classmethod
     def zero(cls, domain: FgAbelianGroup, codomain: FgAbelianGroup) -> GroupHom:
         return cls(domain, codomain, IntMatrix.zeros(codomain.ngens, domain.ngens))
+
+    @classmethod
+    def from_images(cls, domain: FgAbelianGroup, codomain: FgAbelianGroup,
+                    images: Sequence[Sequence[int]]) -> GroupHom:
+        """The hom sending domain generator j to ``images[j]``."""
+        return cls(domain, codomain, IntMatrix.from_columns(images, rows=codomain.ngens))
 
     def __call__(self, coords: Sequence[int]) -> tuple[int, ...]:
         return self.codomain.reduce(self.matrix.apply(self.domain.reduce(coords)))
@@ -190,13 +198,6 @@ class GroupHom:
         if other.codomain != self.domain:
             raise ValueError("composition domain mismatch")
         return GroupHom(other.domain, self.codomain, self.matrix @ other.matrix)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GroupHom) and self.domain == other.domain
-                and self.codomain == other.codomain and self.matrix == other.matrix)
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.codomain, self.matrix))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -238,9 +239,8 @@ class GroupHom:
         """Inverse of an isomorphism: the preimages of the generators."""
         if not self.is_isomorphism():
             raise ValueError("hom is not invertible")
-        cols = [self.preimage(e) for e in identity_rows(self.codomain.ngens)]
-        return GroupHom(self.codomain, self.domain,
-                        IntMatrix.from_columns(cols, rows=self.domain.ngens))
+        return GroupHom.from_images(self.codomain, self.domain, [
+            self.preimage(e) for e in identity_rows(self.codomain.ngens)])
 
     def __repr__(self) -> str:
         return f"GroupHom({self.domain} -> {self.codomain}, {self.matrix.to_lists()})"
@@ -256,8 +256,7 @@ def kernel(f: GroupHom) -> tuple[FgAbelianGroup, GroupHom]:
     q = Presentation(IntMatrix.from_columns(rels, rows=len(span))).quotient(
         FgAbelianGroup(len(span)))
     K = q.codomain
-    cols = [B.apply(q.preimage(e)) for e in identity_rows(K.ngens)]
-    return K, GroupHom(K, G, IntMatrix.from_columns(cols, rows=G.ngens))
+    return K, GroupHom.from_images(K, G, [B.apply(q.preimage(e)) for e in identity_rows(K.ngens)])
 
 
 def cokernel(f: GroupHom) -> tuple[FgAbelianGroup, GroupHom]:

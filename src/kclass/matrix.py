@@ -24,6 +24,7 @@ def kron(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[in
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class IntMatrix:
     """An immutable integer matrix.
 
@@ -32,7 +33,12 @@ class IntMatrix:
     must then be passed explicitly.
     """
 
+    # hand-written slots keep matrices small; slots=True would raise TypeError,
+    # not FrozenInstanceError, for an unknown name on Python 3.10 and 3.11
     __slots__ = ("rows", "cols", "data")
+    rows: int
+    cols: int
+    data: tuple[tuple[int, ...], ...]
 
     def __init__(self, data: Iterable[Sequence[int]], cols: int | None = None):
         rows = tuple([tuple(row) for row in data])
@@ -53,9 +59,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -105,13 +108,6 @@ class IntMatrix:
         return [list(r) for r in self.data]
 
     # -- arithmetic ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
 
     def __add__(self, other: IntMatrix) -> IntMatrix:
         self._same_shape(other)

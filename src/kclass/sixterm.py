@@ -61,6 +61,7 @@ class NotExactError(ValueError):
         self.failures = failures
 
 
+@dataclass(frozen=True, repr=False)
 class ConeDescriptor:
     """Positivity data attached to a K0 node.
 
@@ -70,35 +71,19 @@ class ConeDescriptor:
     unordered      no positivity constraint
     """
 
-    __slots__ = ("tag", "matrix")
+    tag: str
+    matrix: IntMatrix | None = None
 
-    def __init__(self, tag: str, matrix: IntMatrix | None = None):
-        if tag not in _TAGS:
-            raise ValueError(f"unknown cone tag {tag!r}")
-        if tag == STATIONARY_DG:
-            if matrix is None:
+    def __post_init__(self):
+        if self.tag not in _TAGS:
+            raise ValueError(f"unknown cone tag {self.tag!r}")
+        if self.tag == STATIONARY_DG:
+            if self.matrix is None:
                 raise ValueError("stationary cone needs a matrix")
-            if matrix.rows != matrix.cols:
+            if self.matrix.rows != self.matrix.cols:
                 raise ValueError("stationary cone matrix must be square")
-        elif matrix is not None:
-            raise ValueError(f"cone tag {tag!r} takes no matrix")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConeDescriptor is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConeDescriptor):
-            return NotImplemented
-        if self.tag != other.tag:
-            return False
-        if self.tag != STATIONARY_DG:
-            return True
-        return self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash((self.tag, self.matrix))
+        elif self.matrix is not None:
+            raise ValueError(f"cone tag {self.tag!r} takes no matrix")
 
     def __repr__(self) -> str:
         if self.tag == STATIONARY_DG:
@@ -158,6 +143,7 @@ def _group_from_json(data: dict) -> FgAbelianGroup:
     return G
 
 
+@dataclass(frozen=True)
 class SixTermInvariant:
     """The exact six-term cycle with cones on its K0 nodes.
 
@@ -165,9 +151,13 @@ class SixTermInvariant:
     NotExactError, so every instance is a valid invariant.
     """
 
-    __slots__ = ("groups", "maps", "cones")
+    __slots__ = ("groups", "maps", "cones")  # a batch keeps every invariant it loads
+    groups: dict
+    maps: dict
+    cones: dict
 
-    def __init__(self, groups: dict, maps: dict, cones: dict):
+    def __post_init__(self):
+        groups, maps, cones = self.groups, self.maps, self.cones
         if set(groups) != set(NODES):
             raise ValueError(f"groups must be keyed by {NODES}")
         if set(maps) != set(MAP_KEYS):
@@ -189,17 +179,8 @@ class SixTermInvariant:
         if failures:
             raise NotExactError(failures)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SixTermInvariant is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SixTermInvariant):
-            return NotImplemented
-        return (self.groups == other.groups
-                and self.maps == other.maps
-                and self.cones == other.cones)
-
     def __hash__(self) -> int:
+        # the fields are dicts, which do not hash
         return hash((tuple(self.groups[n] for n in NODES),
                      tuple(self.maps[k].matrix for k in MAP_KEYS),
                      tuple(self.cones[n] for n in CONE_NODES)))
@@ -333,17 +314,10 @@ def aut_plus_generators(group: FgAbelianGroup, cone: ConeDescriptor) -> list[Gro
     if cone.tag in (UNORDERED, ALL_POSITIVE):
         return aut_generators(group)
     if cone.tag == STANDARD_FREE:
+        # the permutations of the coordinates: aut_generators lists the
+        # adjacent transpositions first
         n = group.free_rank
-        if n <= 1:
-            return [GroupHom.identity(group)]
-        gens = []
-        for i in range(n - 1):
-            perm = list(range(n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            cols = [[1 if r == perm[j] else 0 for r in range(n)] for j in range(n)]
-            gens.append(GroupHom(group, group,
-                                 IntMatrix.from_columns(cols, rows=n)))
-        return gens
+        return aut_generators(group)[:n - 1] if n > 1 else [GroupHom.identity(group)]
     return [GroupHom(group, group, cone_stabilizer_generator(_rank2(cone)))]
 
 
@@ -386,8 +360,7 @@ def _hom_space(A: FgAbelianGroup, B: FgAbelianGroup):
     per_gen = [[(0,) * B.free_rank + tor for tor in itertools.product(
                     *(range(0, d, d // math.gcd(o, d)) for d in B.torsion))]
                for o in A.gen_orders]
-    return [GroupHom(A, B, IntMatrix.from_columns(combo, rows=B.ngens))
-            for combo in itertools.product(*per_gen)]
+    return [GroupHom.from_images(A, B, combo) for combo in itertools.product(*per_gen)]
 
 
 def _squares(inv1: SixTermInvariant, inv2: SixTermInvariant, node: str, known: dict):
@@ -416,8 +389,11 @@ def _fill(inv1: SixTermInvariant, inv2: SixTermInvariant, node: str, known: dict
 def _iso_pool(G1, c1, base: GroupHom):
     """The order isomorphisms base . a for a in Aut(G1, c1), with a
     completeness flag."""
-    if G1.is_finite() and c1.tag in (UNORDERED, ALL_POSITIVE) and aut_order(G1) > CLOSURE_LIMIT:
-        # every automorphism respects such a cone: the closure would list Aut(G1) up to its limit
+    # Every automorphism respects such a cone, so the closure would list Aut(G1).
+    # Scaling Z/d_k by a unit is an automorphism: |Aut(G1)| >= phi(d_k) >= sqrt(d_k / 2),
+    # so past d_k = 2 CLOSURE_LIMIT^2 the refusal needs no trial division of d_k.
+    if G1.is_finite() and c1.tag in (UNORDERED, ALL_POSITIVE) and (
+            max(G1.torsion, default=0) > 2 * CLOSURE_LIMIT**2 or aut_order(G1) > CLOSURE_LIMIT):
         return None, False
     gens = aut_plus_generators(G1, c1)
     if G1.is_finite() or c1.tag == STANDARD_FREE:

@@ -501,6 +501,35 @@ def test_end_with_too_many_automorphisms_is_refused_at_once():
     assert (v.status, v.reason) == ("unknown", "automorphism enumeration exceeded its limit")
 
 
+def prime_end_hexagon(sign):
+    """K0B = K0E = Z/(2^61 - 1) by the inclusion 1 and K1B = K1E = Z by
+    ``sign``; K0A and K1A are trivial."""
+    P = FgAbelianGroup(0, (2**61 - 1,))
+    groups = {"K0B": P, "K0E": P, "K0A": TRIV, "K1A": TRIV, "K1E": Z, "K1B": Z}
+    maps = {"K0B->K0E": hom(P, P, [[1]]), "K0E->K0A": hom(P, TRIV),
+            "K0A->K1B": hom(TRIV, Z), "K1B->K1E": hom(Z, Z, [[sign]]),
+            "K1E->K1A": hom(Z, TRIV), "K1A->K0B": hom(TRIV, P)}
+    cones = {"K0B": all_positive_cone(), "K0E": unordered_cone(),
+             "K0A": all_positive_cone()}
+    return SixTermInvariant(groups, maps, cones)
+
+
+def test_end_with_a_large_prime_factor_is_refused_without_factoring(monkeypatch):
+    # |Aut(Z/d)| = phi(d) >= sqrt(d / 2) exceeds CLOSURE_LIMIT for this
+    # prime d, so the search refuses before aut_order trial-divides d
+    real = kclass.sixterm.aut_order
+
+    def aut_order(G):
+        assert max(G.torsion, default=0) < 2**61 - 1, "aut_order trial-divides a 61-bit prime"
+        return real(G)
+
+    monkeypatch.setattr(kclass.sixterm, "aut_order", aut_order)
+    start = time.perf_counter()
+    v = decide_iso_one_ideal(prime_end_hexagon(1), prime_end_hexagon(-1))
+    assert time.perf_counter() - start < 1.0
+    assert (v.status, v.reason) == ("unknown", "automorphism enumeration exceeded its limit")
+
+
 def z7_extension(k):
     """0 -> Z -> Z -> Z/7 -> 0 with maps 7 and k, and a vanishing K1 row."""
     Z7 = FgAbelianGroup(0, (7,))
