@@ -13,11 +13,19 @@ from typing import Sequence
 from .matrix import identity_rows
 from .groups import FgAbelianGroup, GroupHom
 
+# The greedy closure lists every unit of Z/d, in time and memory linear in d.
+MAX_UNIT_MODULUS = 10**6
+
 
 def unit_group_generators(d: int) -> list[int]:
-    """A small generating set for the unit group of Z/d (greedy closure)."""
+    """A small generating set for the unit group of Z/d (greedy closure).
+
+    Raises ValueError past d = MAX_UNIT_MODULUS."""
     if d <= 2:
         return []
+    if d > MAX_UNIT_MODULUS:
+        raise ValueError(f"a cyclic group Z/d with d past MAX_UNIT_MODULUS={MAX_UNIT_MODULUS} "
+                         "has too many units to list")
     units = [u for u in range(1, d) if gcd(u, d) == 1]
     gens: list[int] = []
     reached = {1}

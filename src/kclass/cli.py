@@ -12,16 +12,10 @@ import json
 import os
 import sys
 
+# Each engine is imported by the command that runs it, so a process
+# compiles only the modules its subcommand needs.
 from . import verdict as V
-from .dimgroup import SubstitutionInvariant, compare_substitution_invariants
-from .ext import ext1
-from .graphalg import (DirectedGraph, graph_ktheory, hereditary_saturated_sets,
-                       one_ideal_invariant)
-from .groups import FgAbelianGroup
-from .matrix import IntMatrix, snf
-from .sixterm import (NotExactError, SixTermInvariant, UnsupportedConeError,
-                      _group_from_json, _group_json, decide_iso_one_ideal)
-from .surd import int_literal, parse_surd, sturmian_equivalent
+from .surd import int_literal
 
 PARSE_ERROR = 2
 UNSUPPORTED = 3
@@ -60,33 +54,39 @@ def _run(fn, *args, **kwargs):
     """Failures past parsing mean the input is out of scope, not malformed."""
     try:
         return fn(*args, **kwargs)
-    except (UnsupportedConeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(UNSUPPORTED, str(exc)) from exc
 
 
-def _load_graph(path: str) -> DirectedGraph:
+def _load_graph(path: str):
+    from .graphalg import DirectedGraph
     return _build(DirectedGraph.from_json, _load_json(path), f"bad graph in {path}")
 
 
-def _load_graph_invariant(path: str) -> SixTermInvariant:
+def _load_graph_invariant(path: str):
+    from .graphalg import one_ideal_invariant
     return _run(one_ideal_invariant, _load_graph(path))
 
 
-def _load_sixterm(path: str) -> SixTermInvariant:
+def _load_sixterm(path: str):
+    from .sixterm import SixTermInvariant
     return _build(SixTermInvariant.from_json, _load_json(path),
                   f"bad six-term invariant in {path}")
 
 
-def _load_subst(path: str) -> SubstitutionInvariant:
+def _load_subst(path: str):
+    from .dimgroup import SubstitutionInvariant
     return _build(SubstitutionInvariant.from_json, _load_json(path),
                   f"bad substitution invariant in {path}")
 
 
-def _load_group(path: str) -> FgAbelianGroup:
+def _load_group(path: str):
+    from .sixterm import _group_from_json
     return _build(_group_from_json, _load_json(path), f"bad group in {path}")
 
 
-def _load_matrix(path: str) -> IntMatrix:
+def _load_matrix(path: str):
+    from .matrix import IntMatrix
     data = _load_json(path)
     if isinstance(data, dict):
         data = data.get("matrix")
@@ -94,6 +94,7 @@ def _load_matrix(path: str) -> IntMatrix:
 
 
 def _parse_surd_arg(text: str):
+    from .surd import parse_surd
     try:
         return parse_surd(text)
     except ValueError as exc:
@@ -153,12 +154,15 @@ def _compare_many(args, load, compare, resolve_paths: bool = True) -> dict:
 
 
 def cmd_snf(args) -> dict:
+    from .matrix import snf
     dec = snf(_load_matrix(args.file))
     return {"U": dec.U.to_lists(), "D": dec.D.to_lists(), "V": dec.V.to_lists(),
             "diagonal": list(dec.diagonal())}
 
 
 def cmd_ext(args) -> dict:
+    from .ext import ext1
+    from .sixterm import _group_json
     A = _load_group(args.source)
     B = _load_group(args.target)
     E = ext1(A, B).group
@@ -167,6 +171,8 @@ def cmd_ext(args) -> dict:
 
 
 def cmd_graph_kth(args) -> dict:
+    from .graphalg import graph_ktheory
+    from .sixterm import _group_json
     kt = _run(graph_ktheory, _load_graph(args.file))
     return {"K0": _group_json(kt.k0), "K1": _group_json(kt.k1),
             "unit_class": list(kt.unit_class),
@@ -174,6 +180,7 @@ def cmd_graph_kth(args) -> dict:
 
 
 def cmd_graph_ideals(args) -> dict:
+    from .graphalg import hereditary_saturated_sets
     found = _run(hereditary_saturated_sets, _load_graph(args.file))
     return {"count": len(found),
             "nontrivial_count": sum(1 for d in found if d.nontrivial),
@@ -188,10 +195,12 @@ def cmd_graph_invariant(args) -> dict:
 
 
 def cmd_graph_compare(args) -> dict:
+    from .sixterm import decide_iso_one_ideal
     return _compare_many(args, _load_graph_invariant, decide_iso_one_ideal)
 
 
 def cmd_sixterm_check(args) -> dict:
+    from .sixterm import NotExactError
     try:
         _load_sixterm(args.file)
     except CliError as exc:
@@ -202,14 +211,17 @@ def cmd_sixterm_check(args) -> dict:
 
 
 def cmd_sixterm_compare(args) -> dict:
+    from .sixterm import decide_iso_one_ideal
     return _compare_many(args, _load_sixterm, decide_iso_one_ideal)
 
 
 def cmd_subst_compare(args) -> dict:
+    from .dimgroup import compare_substitution_invariants
     return _compare_many(args, _load_subst, compare_substitution_invariants)
 
 
 def _sturmian_verdict(x, y) -> V.IsoVerdict:
+    from .surd import sturmian_equivalent
     if sturmian_equivalent(x, y):
         return V.isomorphic()
     return V.not_isomorphic("the slopes lie in distinct integral Moebius orbits")

@@ -48,7 +48,7 @@ FALLBACK_BALL = (4, 200)     # K1B or K1A with infinitely many solutions
 MAX_GENERATORS = 20          # generators of a group read from JSON
 
 
-class UnsupportedConeError(Exception):
+class UnsupportedConeError(ValueError):
     """Raised when no exact engine handles the given cone descriptor."""
 
 
@@ -467,7 +467,8 @@ def decide_iso_one_ideal(inv1: SixTermInvariant, inv2: SixTermInvariant) -> IsoV
     has more than CLOSURE_LIMIT automorphisms, or when the maps at K1B
     or K1A number more than CLOSURE_LIMIT and a word ball samples that
     node.  A cone beyond the exact engines ends as Unknown with the
-    engine's reason.
+    engine's reason.  A search that needs the units of Z/d with d past
+    MAX_UNIT_MODULUS raises ValueError.
     """
     try:
         return _decide(inv1, inv2)

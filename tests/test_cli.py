@@ -22,6 +22,7 @@ from sampling import invariant_corpus, random_one_ideal_graph
 
 import kclass
 import kclass.cli
+import kclass.graphalg
 import kclass.surd
 from kclass.cli import main
 from kclass.graphalg import DirectedGraph, one_ideal_invariant
@@ -221,7 +222,7 @@ def test_batch_loads_each_distinct_input_once(capsys, tmp_path, monkeypatch, kin
     if kind == "sixterm":
         calls = count_calls(monkeypatch, SixTermInvariant, "from_json")
     else:
-        calls = count_calls(monkeypatch, kclass.cli, "one_ideal_invariant")
+        calls = count_calls(monkeypatch, kclass.graphalg, "one_ideal_invariant")
     manifest = dump(tmp_path / "man.json", pairs)
     rc, out, _ = run_cli(capsys, kind, "compare", "--batch", manifest)
     assert rc == 0
@@ -586,3 +587,44 @@ def test_console_script_is_installed():
     exe = shutil.which("kclass")
     if exe is not None:
         run_script([exe])
+
+
+MODULES = {p.stem for p in Path(kclass.__file__).parent.glob("*.py")} - {"__init__"}
+STURMIAN_MODULES = {"cli", "matrix", "surd", "verdict"}
+LOADED_BY = {"sturmian": STURMIAN_MODULES, "snf": STURMIAN_MODULES,
+             "subst": STURMIAN_MODULES | {"dimgroup"},
+             "sixterm": MODULES - {"graphalg"}, "graph": MODULES}
+
+
+def subcommand_argv(kind, tmp_path):
+    """A small input for one subcommand, as its command line."""
+    if kind == "sturmian":
+        return ["sturmian", "compare", "sqrt(2)", "sqrt(3)"]
+    if kind == "snf":
+        return ["snf", dump(tmp_path / "m.json", [[2, 4], [6, 8]])]
+    if kind == "subst":
+        return ["subst", "compare",
+                *(dump(tmp_path / f"s{k}.json", subst_json([[k, 1]], [[5, 3], [3, 2]], [0]))
+                  for k in (1, 2))]
+    graphs = [DirectedGraph(["v", "w"], IntMatrix([[4, k], [0, 0]])) for k in (1, 2)]
+    data = [one_ideal_invariant(g).to_json() if kind == "sixterm" else g.to_json()
+            for g in graphs]
+    return [kind, "compare", *(dump(tmp_path / f"in{i}.json", d) for i, d in enumerate(data))]
+
+
+@pytest.mark.parametrize("kind", list(LOADED_BY))
+def test_each_subcommand_loads_only_its_engines(capsys, tmp_path, kind):
+    """A fresh interpreter running one subcommand imports only the
+    modules that subcommand needs, and prints what an interpreter with
+    every module loaded prints."""
+    argv = subcommand_argv(kind, tmp_path)
+    script = ("import sys\nfrom kclass.cli import main\nrc = main(sys.argv[1:])\n"
+              "print(*sorted(sys.modules), file=sys.stderr)\nsys.exit(rc)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(kclass.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    loaded = {m.removeprefix("kclass.") for m in done.stderr.split() if m.startswith("kclass.")}
+    assert loaded == LOADED_BY[kind]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and done.stdout == out

@@ -865,3 +865,32 @@ def test_node_with_too_many_maps_is_sampled_not_listed(node):
     v = decide_iso_one_ideal(s, t)
     assert time.perf_counter() - start < 2.0
     assert v.status == "isomorphic" and verify_witness(s, t, v.witness)
+
+
+def large_unit_group_pair(kind):
+    """Two cycles whose decision needs the units of one large Z/d: at
+    K0B, K0B = K0E = Z/(2^61 - 1) by the inclusion 1 against 2 with a
+    vanishing K1 row; at K1A, K1E = K1A = Z/10^8 by 1 against 3."""
+    if kind == "K0B":
+        P = FgAbelianGroup(0, (2**61 - 1,))
+        groups = {"K0B": P, "K0E": P, "K0A": TRIV, "K1A": TRIV, "K1E": TRIV, "K1B": TRIV}
+        zero = {key: hom(groups[key[:3]], groups[key[5:]]) for key in MAP_KEYS}
+        cones = {"K0B": all_positive_cone(), "K0E": unordered_cone(),
+                 "K0A": all_positive_cone()}
+        return [SixTermInvariant(groups, {**zero, "K0B->K0E": hom(P, P, [[k]])}, cones)
+                for k in (1, 2)]
+    C = FgAbelianGroup(0, (10**8,))
+    return [k1_hexagon(TRIV, C, C, {"K1E->K1A": hom(C, C, [[u]])}) for u in (1, 3)]
+
+
+@pytest.mark.parametrize("kind", ["K0B", "K1A"])
+def test_unit_group_past_its_bound_exits_3(capsys, tmp_path, kind):
+    paths = []
+    for i, inv in enumerate(large_unit_group_pair(kind)):
+        paths.append(tmp_path / f"inv{i}.json")
+        paths[-1].write_text(json.dumps(inv.to_json()))
+    start = time.perf_counter()
+    rc = main(["sixterm", "compare", *map(str, paths)])
+    assert time.perf_counter() - start < 2.0
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == "" and "MAX_UNIT_MODULUS=1000000" in err
