@@ -171,11 +171,12 @@ def cmd_ext(args) -> dict:
 
 
 def cmd_graph_kth(args) -> dict:
-    from .graphalg import graph_ktheory
+    from .graphalg import GraphKTheory
     from .sixterm import _group_json
-    kt = _run(graph_ktheory, _load_graph(args.file))
+    g = _load_graph(args.file)
+    kt = _run(GraphKTheory, g, af=False)
     return {"K0": _group_json(kt.k0), "K1": _group_json(kt.k1),
-            "unit_class": list(kt.unit_class),
+            "unit_class": list(kt.vertex_classes([1] * g.n)),
             "vertex_classes": kt.vertex_classes.matrix.to_lists()}
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import IntMatrix, identity_rows, kernel_basis
+from .matrix import IntMatrix, identity_rows
 from .groups import FgAbelianGroup, GroupHom, Presentation
 from .sixterm import (SixTermInvariant, all_positive_cone, standard_free_cone,
                       unordered_cone)
@@ -178,12 +178,16 @@ def classify_simple(g: DirectedGraph) -> str:
 
     not_simple when a nontrivial hereditary saturated set exists or some
     cycle has no exit; otherwise af without cycles and purely_infinite
-    with them.  v lies on a cycle when a successor reaches it, and that
-    cycle has no exit when every vertex of T(v) emits exactly one edge.
+    with them.  Every hereditary saturated set is the union of the
+    closures Sigma(T(v)) of its vertices, so a nontrivial one exists
+    exactly when some vertex closure is not the whole vertex set.  v
+    lies on a cycle when a successor reaches it, and that cycle has no
+    exit when every vertex of T(v) emits exactly one edge.
     """
-    if any(d.nontrivial for d in hereditary_saturated_sets(g)):
-        return NOT_SIMPLE
     succ, reach = _reach(g)
+    regular = [(i, s) for i, s in enumerate(succ) if s]
+    if any(_saturate(regular, t) != (1 << g.n) - 1 for t in reach):
+        return NOT_SIMPLE
     on_cycle = [v for v in range(g.n)
                 if any(succ[v] >> w & 1 and reach[w] >> v & 1
                        for w in range(g.n))]
@@ -201,24 +205,26 @@ def subgraph(g: DirectedGraph, subset) -> DirectedGraph:
                          IntMatrix(adj) if idx else IntMatrix.zeros(0, 0))
 
 
-@dataclass(frozen=True)
+def _pad(vec, idx, n: int) -> list[int]:
+    """The vector of length n with vec[c] at position idx[c], 0 elsewhere."""
+    out = [0] * n
+    for x, i in zip(vec, idx):
+        out[i] = x
+    return out
+
+
 class GraphKTheory:
-    """K-groups of a graph with the map from vertex space to K0."""
-
-    k0: FgAbelianGroup
-    k1: FgAbelianGroup
-    vertex_classes: GroupHom   # from Z^vertices onto K0
-    unit_class: tuple          # class of the sum of all vertex projections
-
-
-class _GraphK:
     """K-groups of a graph from M, the transposed adjacency minus the
     identity on the emitting columns (listed in ``regular``).
 
-    ``classes`` maps Z^vertices onto K0, the cokernel of M, read in
-    path-count coordinates when ``af`` is set, which needs a graph
-    without cycles.  K1 is the integer kernel of M, and ``cycles`` maps
-    it into Z^regular, one basis vector per column.
+    ``vertex_classes`` maps Z^vertices onto K0, the cokernel of M, and
+    ``lift`` sends a K0 element to a vertex vector of its class.  K1 is
+    the integer kernel of M, and ``cycles`` maps it into Z^regular, one
+    basis vector per column.  A side with ``af`` set must have no cycle,
+    and then nothing is factored.  Its adjacency A is nilpotent, so
+    A^T - I is unimodular and M, a set of its columns, is injective: K1
+    is 0.  K0 is read in path-count coordinates, free on the sinks, and
+    the path-count column of a sink is its own unit vector.
     """
 
     def __init__(self, graph: DirectedGraph, af: bool):
@@ -231,7 +237,7 @@ class _GraphK:
         self.matrix = IntMatrix.from_columns(cols, rows=graph.n)
         vertices = FgAbelianGroup(graph.n)
         if af:
-            basis = kernel_basis(self.matrix)
+            basis = []
             # path-count coordinates: K0 is free on the sinks, and a
             # successor reaches fewer vertices, so its counts come first
             sinks = [i for i in range(graph.n) if not graph.is_regular(i)]
@@ -244,20 +250,17 @@ class _GraphK:
                     if m:
                         vec = [a + m * b for a, b in zip(vec, counts[w])]
                 counts[v] = vec
-            self.classes = GroupHom.from_images(vertices, FgAbelianGroup(len(sinks)),
-                                                [counts[v] for v in range(graph.n)])
+            self.vertex_classes = GroupHom.from_images(
+                vertices, FgAbelianGroup(len(sinks)), [counts[v] for v in range(graph.n)])
+            self.lift = lambda x: _pad(x, sinks, graph.n)
         else:
             pres = Presentation(self.matrix)
             basis = pres.dec.kernel()
-            self.classes = pres.quotient(vertices)
-        self.k0 = self.classes.codomain
+            self.vertex_classes = pres.quotient(vertices)
+            self.lift = self.vertex_classes.preimage
+        self.k0 = self.vertex_classes.codomain
         self.k1 = FgAbelianGroup(len(basis))
         self.cycles = GroupHom.from_images(self.k1, FgAbelianGroup(len(self.regular)), basis)
-
-
-def graph_ktheory(g: DirectedGraph) -> GraphKTheory:
-    kt = _GraphK(g, af=False)
-    return GraphKTheory(kt.k0, kt.k1, kt.classes, kt.classes([1] * g.n))
 
 
 def one_ideal_parts(g: DirectedGraph) -> tuple:
@@ -289,60 +292,54 @@ def one_ideal_invariant(g: DirectedGraph) -> SixTermInvariant:
 
     The ideal and quotient must classify as af or purely_infinite.
     """
-    hset, sub, kind_b, quot, kind_a = one_ideal_parts(g)
-    side_b = _GraphK(sub, kind_b == AF)
-    side_a = _GraphK(quot, kind_a == AF)
-    whole = _GraphK(g, af=False)
+    hset, sub, kind_b, quot, _ = one_ideal_parts(g)
+    side_b = GraphKTheory(sub, kind_b == AF)
+    # The quotient g[V - H] always has a cycle.  Were it acyclic, it would
+    # have a sink s.  An edge from s would land in H, and H, being
+    # saturated, would hold s; so s is a sink of g.  Then Sigma({s}) is
+    # hereditary and saturated, holds s and misses H, whose edges stay in
+    # H: a second nontrivial set.
+    side_a = GraphKTheory(quot, af=False)
+    whole = GraphKTheory(g, af=False)
 
     h_idx = sorted(g.index_of(v) for v in hset)
     q_idx = [i for i in range(g.n) if i not in set(h_idx)]
     reg_pos = {v: c for c, v in enumerate(whole.regular)}
-
-    def pad(vec, idx, n):
-        out = [0] * n
-        for x, i in zip(vec, idx):
-            out[i] = x
-        return out
-
-    # inclusion on K0: vertex classes of the ideal, viewed in the whole graph
-    iota0 = GroupHom.from_images(side_b.k0, whole.k0, [
-        whole.classes(pad(side_b.classes.preimage(e), h_idx, g.n))
-        for e in identity_rows(side_b.k0.ngens)])
-    # projection on K0: drop the ideal coordinates
-    lifts = [whole.classes.preimage(e) for e in identity_rows(whole.k0.ngens)]
-    pi0 = GroupHom.from_images(whole.k0, side_a.k0,
-                               [side_a.classes([amb[j] for j in q_idx]) for amb in lifts])
-    delta = GroupHom.zero(side_a.k0, side_b.k1)
-
-    # K1 maps ride on the kernel lattices; positions of the ideal's and
-    # the quotient's emitting vertices among those of the whole graph
+    # positions of the ideal's and the quotient's emitting vertices among
+    # those of the whole graph
     sub_reg = [reg_pos[h_idx[c]] for c in side_b.regular]
     quot_reg = [reg_pos[q_idx[c]] for c in side_a.regular]
     nreg = len(whole.regular)
 
-    cols = []
-    for e in identity_rows(side_b.k1.ngens):
-        sol = whole.cycles.preimage(pad(side_b.cycles(e), sub_reg, nreg))
-        if sol is None:
-            raise RuntimeError("ideal cycle vector is missing upstairs")
-        cols.append(sol)
-    iota1 = GroupHom.from_images(side_b.k1, whole.k1, cols)
+    def k0_map(source, target, move):
+        """Vertex classes: lift each generator, move its coordinates."""
+        return GroupHom.from_images(source.k0, target.k0, [
+            target.vertex_classes(move(source.lift(e)))
+            for e in identity_rows(source.k0.ngens)])
 
-    cols = []
-    for e in identity_rows(whole.k1.ngens):
-        vec = whole.cycles(e)
-        sol = side_a.cycles.preimage([vec[i] for i in quot_reg])
-        if sol is None:
-            raise RuntimeError("cycle vector does not restrict to the quotient")
-        cols.append(sol)
-    pi1 = GroupHom.from_images(whole.k1, side_a.k1, cols)
+    def k1_map(source, target, move):
+        """K1 rides on the kernel lattices: move each cycle vector."""
+        cols = []
+        for e in identity_rows(source.k1.ngens):
+            sol = target.cycles.preimage(move(source.cycles(e)))
+            if sol is None:
+                raise RuntimeError("a cycle vector is missing from the target's K1")
+            cols.append(sol)
+        return GroupHom.from_images(source.k1, target.k1, cols)
+
+    # the inclusion pads the ideal coordinates; the projection drops them
+    iota0 = k0_map(side_b, whole, lambda v: _pad(v, h_idx, g.n))
+    pi0 = k0_map(whole, side_a, lambda v: [v[j] for j in q_idx])
+    iota1 = k1_map(side_b, whole, lambda v: _pad(v, sub_reg, nreg))
+    pi1 = k1_map(whole, side_a, lambda v: [v[i] for i in quot_reg])
+    delta = GroupHom.zero(side_a.k0, side_b.k1)
 
     # index map: push a quotient cycle vector through the whole matrix
     # and read off the ideal rows
     cols = []
     for e in identity_rows(side_a.k1.ngens):
-        img = whole.matrix.apply(pad(side_a.cycles(e), quot_reg, nreg))
-        cols.append(side_b.classes([img[j] for j in h_idx]))
+        img = whole.matrix.apply(_pad(side_a.cycles(e), quot_reg, nreg))
+        cols.append(side_b.vertex_classes([img[j] for j in h_idx]))
     bdry = GroupHom.from_images(side_a.k1, side_b.k0, cols)
 
     return SixTermInvariant(
@@ -350,10 +347,5 @@ def one_ideal_invariant(g: DirectedGraph) -> SixTermInvariant:
          "K1A": side_a.k1, "K1E": whole.k1, "K1B": side_b.k1},
         {"K0B->K0E": iota0, "K0E->K0A": pi0, "K0A->K1B": delta,
          "K1B->K1E": iota1, "K1E->K1A": pi1, "K1A->K0B": bdry},
-        {"K0B": _cone(kind_b), "K0E": unordered_cone(), "K0A": _cone(kind_a)})
-
-
-def _cone(kind: str):
-    """Coordinatewise cone for an af side, the whole group otherwise."""
-    return standard_free_cone() if kind == AF else all_positive_cone()
-
+        {"K0B": standard_free_cone() if kind_b == AF else all_positive_cone(),
+         "K0E": unordered_cone(), "K0A": all_positive_cone()})

@@ -27,8 +27,9 @@ from .dimgroup import (StationaryDimensionGroup, is_positive_slope_map,
 from .verdict import IsoVerdict, isomorphic, not_isomorphic, unknown
 
 NODES = ("K0B", "K0E", "K0A", "K1A", "K1E", "K1B")
-MAP_KEYS = ("K0B->K0E", "K0E->K0A", "K0A->K1B",
-            "K1B->K1E", "K1E->K1A", "K1A->K0B")
+# The nodes in cycle order: map i runs from node i to node i + 1.
+_CYCLE = ("K0B", "K0E", "K0A", "K1B", "K1E", "K1A")
+MAP_KEYS = tuple(f"{a}->{b}" for a, b in zip(_CYCLE, _CYCLE[1:] + _CYCLE[:1]))
 CONE_NODES = ("K0B", "K0E", "K0A")
 END_NODES = ("K0B", "K0A")
 
@@ -210,19 +211,15 @@ class SixTermInvariant:
 def validate_sixterm(inv: SixTermInvariant) -> list[str]:
     """Exactness violations, one message per failing node."""
     out: list[str] = []
-    for i, node in enumerate(("K0E", "K0A", "K1B", "K1E", "K1A", "K0B")):
-        incoming = inv.maps[MAP_KEYS[i]]
-        outgoing = inv.maps[MAP_KEYS[(i + 1) % 6]]
-        if not is_exact_pair(incoming, outgoing):
-            out.append(f"not exact at {node}")
+    for i, key in enumerate(MAP_KEYS):
+        j = (i + 1) % len(MAP_KEYS)
+        if not is_exact_pair(inv.maps[key], inv.maps[MAP_KEYS[j]]):
+            out.append(f"not exact at {_CYCLE[j]}")
     return out
 
 
 # Witness component names and the node each one acts on.
-_WITNESS_NODES = (("beta0", "K0B"), ("eta0", "K0E"), ("alpha0", "K0A"),
-                  ("beta1", "K1B"), ("eta1", "K1E"), ("alpha1", "K1A"))
-# The nodes in cycle order: map i runs from node i to node i + 1.
-_CYCLE = tuple(node for _, node in _WITNESS_NODES)
+_WITNESS_NODES = tuple(zip(("beta0", "eta0", "alpha0", "beta1", "eta1", "alpha1"), _CYCLE))
 
 
 @dataclass

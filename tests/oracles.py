@@ -459,3 +459,15 @@ def sixterm_iso_bruteforce(inv1, inv2) -> bool:
                                 after(a1, m1["K1E->K1A"])) in eta1_keys:
                             return True
     return False
+
+
+def ext_orbit_bruteforce(x) -> set[tuple[int, ...]]:
+    """The orbit of x in Ext(Z/d, Z^k) = (Z/d)^k under the order
+    automorphisms of the two ends, when Z/d carries every automorphism
+    and Z^k its standard cone: a unit u of Z/d pulls x back to u x, and
+    a permutation of Z^k pushes x to its permuted coordinates.  Every
+    pair is listed directly."""
+    (d,), k = x.group.source.torsion, len(x.coords)
+    return {tuple(u * x.coords[i] % d for i in perm)
+            for u in range(1, d) if gcd(u, d) == 1
+            for perm in itertools.permutations(range(k))}

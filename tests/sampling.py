@@ -8,6 +8,7 @@ invariants computed from random one-ideal graphs.
 """
 from __future__ import annotations
 
+import math
 import random
 
 from kclass.matrix import IntMatrix
@@ -90,16 +91,49 @@ def _random_extension(rng: random.Random, small: bool = False):
     return A, B, G, incl, proj
 
 
-def _vanishing_k1_invariant(rng: random.Random) -> SixTermInvariant:
-    A, B, G, incl, proj = _random_extension(rng)
+def _k0_row_invariant(incl: GroupHom, proj: GroupHom, cone_b, cone_a) -> SixTermInvariant:
+    """The invariant of a short exact K0 row under a trivial K1 row."""
+    B, G, A = incl.domain, incl.codomain, proj.codomain
     T = FgAbelianGroup(0, ())
     groups = {"K0B": B, "K0E": G, "K0A": A, "K1A": T, "K1E": T, "K1B": T}
     maps = {"K0B->K0E": incl, "K0E->K0A": proj,
             "K0A->K1B": GroupHom.zero(A, T), "K1B->K1E": GroupHom.zero(T, T),
             "K1E->K1A": GroupHom.zero(T, T), "K1A->K0B": GroupHom.zero(T, B)}
-    cones = {"K0B": _random_cone(rng, B), "K0E": unordered_cone(),
-             "K0A": _random_cone(rng, A)}
+    cones = {"K0B": cone_b, "K0E": unordered_cone(), "K0A": cone_a}
     return SixTermInvariant(groups, maps, cones)
+
+
+def _vanishing_k1_invariant(rng: random.Random) -> SixTermInvariant:
+    A, B, G, incl, proj = _random_extension(rng)
+    cone_b = _random_cone(rng, B)
+    return _k0_row_invariant(incl, proj, cone_b, _random_cone(rng, A))
+
+
+def ext_orbit_pairs(seed: int, count: int) -> list[tuple]:
+    """Pairs (first, second, x, y) of extensions 0 -> Z^k -> E -> Z/d -> 0
+    of classes x and y, each as an invariant with a trivial K1 row, an
+    unordered cone on Z/d and the standard cone on Z^k, for d in 5..13
+    odd and k in {2, 3}.  Half the second classes come from the orbit of
+    the first under a unit of Z/d and a permutation of Z^k.  Of ``count``
+    draws, those whose middle groups differ are skipped, so no stage
+    before the Ext-orbit one separates a pair."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        d, k = rng.choice((5, 7, 9, 11, 13)), rng.choice((2, 3))
+        E = ext1(FgAbelianGroup(0, (d,)), FgAbelianGroup(k))
+        x = [rng.randrange(d) for _ in range(k)]
+        if rng.random() < 0.5:
+            u = rng.choice([u for u in range(1, d) if math.gcd(u, d) == 1])
+            y = [u * c % d for c in rng.sample(x, k)]
+        else:
+            y = [rng.randrange(d) for _ in range(k)]
+        x, y = E.element(x), E.element(y)
+        first, second = (_k0_row_invariant(*realize_extension(c)[1:], standard_free_cone(),
+                                           unordered_cone()) for c in (x, y))
+        if first.groups["K0E"] == second.groups["K0E"]:
+            pairs.append((first, second, x, y))
+    return pairs
 
 
 def _glued_pair_invariant(rng: random.Random) -> SixTermInvariant:

@@ -1,5 +1,7 @@
 """Graph K-theory, ideal lattices, and graph comparisons."""
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,7 +13,7 @@ import kclass.graphalg
 
 from kclass.graphalg import (
     DirectedGraph, evaluate_subset, hereditary_saturated_sets,
-    classify_simple, subgraph, graph_ktheory,
+    classify_simple, subgraph, GraphKTheory,
     one_ideal_invariant, one_ideal_parts,
     NOT_SIMPLE, AF, PURELY_INFINITE,
 )
@@ -37,20 +39,20 @@ def test_json_round_trip():
 
 
 def test_ktheory_single_vertex_three_loops():
-    kt = graph_ktheory(DirectedGraph(["v"], [[3]]))
+    kt = GraphKTheory(DirectedGraph(["v"], [[3]]), af=False)
     assert kt.k0 == FgAbelianGroup(0, (2,))
     assert kt.k1.is_trivial()
-    assert kt.unit_class == (1,)
+    assert kt.vertex_classes([1]) == (1,)
 
 
 def test_ktheory_single_vertex_two_loops():
-    kt = graph_ktheory(DirectedGraph(["v"], [[2]]))
+    kt = GraphKTheory(DirectedGraph(["v"], [[2]]), af=False)
     assert kt.k0.is_trivial()
     assert kt.k1.is_trivial()
 
 
 def test_ktheory_two_sinks():
-    kt = graph_ktheory(DirectedGraph(["a", "b"], [[0, 0], [0, 0]]))
+    kt = GraphKTheory(DirectedGraph(["a", "b"], [[0, 0], [0, 0]]), af=False)
     assert kt.k0 == FgAbelianGroup(2, ())
     assert kt.k1.is_trivial()
     assert kt.vertex_classes.matrix.to_lists() == [[1, 0], [0, 1]]
@@ -58,7 +60,7 @@ def test_ktheory_two_sinks():
 
 def test_ktheory_k1_can_be_nonzero():
     # transposed adjacency minus identity is singular here
-    kt = graph_ktheory(DirectedGraph(["a", "b"], [[2, 1], [2, 3]]))
+    kt = GraphKTheory(DirectedGraph(["a", "b"], [[2, 1], [2, 3]]), af=False)
     assert kt.k0 == FgAbelianGroup(1, ())
     assert kt.k1 == FgAbelianGroup(1, ())
 
@@ -70,7 +72,7 @@ def test_k1_is_torsion_free():
     for _ in range(25):
         n = rng.randrange(1, 5)
         adj = [[rng.randrange(0, 3) for _ in range(n)] for _ in range(n)]
-        kt = graph_ktheory(DirectedGraph([f"v{i}" for i in range(n)], adj))
+        kt = GraphKTheory(DirectedGraph([f"v{i}" for i in range(n)], adj), af=False)
         assert kt.k1.torsion == ()
 
 
@@ -152,9 +154,13 @@ def test_classify_simple():
     assert classify_simple(DirectedGraph(["a", "b"], [[0, 2], [1, 0]])) == PURELY_INFINITE
 
 
-def test_classify_and_af_counts_match_bruteforce_on_random_graphs():
+def test_classify_and_af_counts_match_bruteforce_on_random_graphs(monkeypatch):
     # half the graphs keep only the edges that go up a random vertex
-    # ranking, so they have no cycles
+    # ranking, so they have no cycles; classify_simple reads vertex
+    # closures and never the ideal lattice
+    def no_lattice(g):
+        raise AssertionError("classify_simple built the ideal lattice")
+    monkeypatch.setattr(kclass.graphalg, "hereditary_saturated_sets", no_lattice)
     rng = random.Random(2006)
     seen = dict.fromkeys(("sink", "loop", "parallel", "edgeless", "acyclic",
                           AF, PURELY_INFINITE, NOT_SIMPLE), 0)
@@ -171,8 +177,10 @@ def test_classify_and_af_counts_match_bruteforce_on_random_graphs():
         assert kind == classify_simple_bruteforce(g)
         rows = g.adjacency.data
         if acyclic:
-            af = kclass.graphalg._GraphK(g, af=True)
-            assert af.classes.matrix.to_lists() == af_path_counts_bruteforce(g)
+            af = GraphKTheory(g, af=True)
+            assert af.vertex_classes.matrix.to_lists() == af_path_counts_bruteforce(g)
+            # no cycle: the factored kernel is zero, as the af side assumes
+            assert af.k1.is_trivial() and GraphKTheory(g, af=False).k1.is_trivial()
         seen[kind] += 1
         seen["acyclic"] += acyclic
         seen["sink"] += any(not any(r) for r in rows)
@@ -180,6 +188,28 @@ def test_classify_and_af_counts_match_bruteforce_on_random_graphs():
         seen["parallel"] += any(m > 1 for r in rows for m in r)
         seen["edgeless"] += not any(map(any, rows))
     assert min(seen.values()) >= 20
+
+
+def test_no_one_ideal_graph_has_an_af_quotient():
+    # an acyclic quotient would have a sink, a sink of the whole graph
+    # whose closure is a second nontrivial hereditary saturated set; every
+    # 0/1 graph on 2 or 3 vertices, a seeded eighth of those on 4, and
+    # sampled one-ideal graphs
+    rng = random.Random(2006)
+    graphs = [DirectedGraph(list(range(n)), [list(bits[i * n:(i + 1) * n]) for i in range(n)])
+              for n in (2, 3, 4) for bits in itertools.product((0, 1), repeat=n * n)
+              if n < 4 or rng.random() < 0.125]
+    graphs += [random_one_ideal_graph(rng, max_vertices=m)
+               for m in (4, 6, 8) for _ in range(100)]
+    kinds = Counter()
+    for g in graphs:
+        try:
+            _, _, kind_b, _, kind_a = one_ideal_parts(g)
+        except ValueError:
+            continue
+        kinds[kind_b, kind_a] += 1
+    assert set(kinds) == {(AF, PURELY_INFINITE), (PURELY_INFINITE, PURELY_INFINITE)}
+    assert min(kinds.values()) >= 200, kinds
 
 
 def test_subgraph_and_quotient():

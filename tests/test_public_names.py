@@ -1,5 +1,6 @@
 """Every public function and method in kclass is named outside its definition,
-every imported name is used, and every parameter is read.
+every imported name is used, every parameter is read, and every name the
+benchmark traces resolves.
 
 A public name that nothing in ``src/kclass`` or ``bench/*.py`` mentions
 besides its own ``def`` line is code that only its unit tests reach:
@@ -11,6 +12,7 @@ A name a module imports and never reads is deleted from the import, and
 so is a parameter its function never reads (dunder methods apart).
 """
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -105,3 +107,22 @@ def test_every_parameter_is_read():
               for path in sorted(SRC.glob("*.py"))
               for entry in unread_parameters(path)]
     assert unread == []
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's traced run patches each kclass.<module>.<path> of
+    # bench/spans.py::TRACED and stops at a missing one; its own tests
+    # need a prepared work directory, so a deleted traced function shows
+    # here first
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    missing = []
+    for _, module, path, _ in traced:
+        owner = importlib.import_module(f"kclass.{module}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(f"{module}.{path}")
+    assert len(traced) >= 30 and missing == []

@@ -6,8 +6,9 @@ import time
 from collections import Counter
 
 import pytest
-from oracles import homs_bruteforce, sixterm_iso_bruteforce
-from sampling import invariant_corpus, random_one_ideal_graph, random_valid_invariant
+from oracles import ext_orbit_bruteforce, homs_bruteforce, sixterm_iso_bruteforce
+from sampling import (ext_orbit_pairs, invariant_corpus, random_one_ideal_graph,
+                      random_valid_invariant)
 
 import kclass.ext
 import kclass.groups
@@ -16,7 +17,7 @@ import kclass.sixterm
 import kclass.surd
 from kclass.cli import main
 from kclass.ext import ext1, extension_class, realize_extension
-from kclass.graphalg import _GraphK
+from kclass.graphalg import GraphKTheory
 from kclass.groups import FgAbelianGroup, GroupHom, cokernel, kernel
 from kclass.matrix import IntMatrix
 from kclass.sixterm import (
@@ -551,6 +552,27 @@ def test_exhausted_orbit_limit_is_unknown(monkeypatch):
     assert (v.status, v.reason) == ("unknown", "extension class orbit exceeded the search limit")
 
 
+def test_ext_orbit_stage_matches_the_orbit_oracle():
+    # each pair agrees on its groups, cones and map shapes and has a
+    # trivial K1 row, so unless the two are equal the Ext-orbit stage
+    # decides it: isomorphic exactly when the second class lies in the
+    # orbit of the first
+    orbit_cert = "extension classes differ under every order-compatible automorphism pair"
+    verdicts = Counter()
+    for first, second, x, y in ext_orbit_pairs(29, 200):
+        v = decide_iso_one_ideal(first, second)
+        assert (v.status == "isomorphic") == (y.coords in ext_orbit_bruteforce(x)), (x, y)
+        if v.status == "isomorphic":
+            assert verify_witness(first, second, v.witness)
+            verdicts["isomorphic", first == second] += 1
+        else:
+            verdicts[v.status, v.certificate] += 1
+    assert set(verdicts) <= {("not_isomorphic", orbit_cert),
+                             ("isomorphic", False), ("isomorphic", True)}
+    assert verdicts["not_isomorphic", orbit_cert] >= 20, verdicts
+    assert verdicts["isomorphic", False] >= 20, verdicts
+
+
 def test_extension_classes_trust_the_exact_invariant(monkeypatch):
     # a six-term invariant is proved exact when it is built and
     # realize_extension is exact by construction, so neither the Ext
@@ -635,32 +657,41 @@ def test_each_map_is_factored_once(monkeypatch):
     for _ in range(20):
         g = random_one_ideal_graph(graph_rng)
         before = calls["snf"]
-        _GraphK(g, af=False)
+        GraphKTheory(g, af=False)
         assert calls["snf"] - before == 1
 
-    # a one-ideal invariant factors its three graph matrices and proves its
-    # six maps exact; every other factorization is the cached one of a
-    # classes or cycles hom: K0 lifts and K1 coordinates are preimages
-    # under those, with no unimodular inverse and no solve
+    # a one-ideal invariant factors the matrix of each side that is not
+    # af and proves its six maps exact; every other factorization is the
+    # cached one of a vertex-class or cycles hom: K0 lifts and K1
+    # coordinates are preimages under those, with no unimodular inverse
+    # and no solve.  An af side factors nothing: its K1 is 0 and its K0
+    # generators lift to the sinks.
     made = []
 
-    class Recorded(_GraphK):
+    class Recorded(GraphKTheory):
         def __init__(self, graph, af):
             super().__init__(graph, af)
-            made.append(self)
-    monkeypatch.setattr(kclass.graphalg, "_GraphK", Recorded)
+            made.append((self, af))
+    monkeypatch.setattr(kclass.graphalg, "GraphKTheory", Recorded)
     solvers = calls["unimodular_inverse"], calls["solve"]
-    lifted = 0
+    lifted = af_sides = 0
     for _ in range(300):
         g = random_one_ideal_graph(graph_rng)
         made.clear()
         before = calls["snf"]
         kclass.graphalg.one_ideal_invariant(g)
-        cached = sum(h._presentation is not None for kt in made for h in (kt.classes, kt.cycles))
-        assert len(made) == 3 and calls["snf"] - before == 3 + 6 + cached
-        lifted += any(kt.cycles._presentation is not None for kt in made)
+        cached = sum(h._presentation is not None
+                     for kt, _ in made for h in (kt.vertex_classes, kt.cycles))
+        factored = sum(not af for _, af in made)
+        assert len(made) == 3 and calls["snf"] - before == factored + 6 + cached
+        for kt, af in made:
+            if af:
+                assert kt.vertex_classes._presentation is None and kt.k1.is_trivial()
+        lifted += any(kt.cycles._presentation is not None for kt, _ in made)
+        af_sides += factored < 3
     assert (calls["unimodular_inverse"], calls["solve"]) == solvers
     assert lifted >= 8, lifted
+    assert af_sides >= 50, af_sides
 
     # kernels and realized extensions lift through the quotient onto the
     # kernel or the middle group, with no unimodular inverse
