@@ -68,9 +68,9 @@ def _load_graph_invariant(path: str):
     return _run(one_ideal_invariant, _load_graph(path))
 
 
-def _load_sixterm(path: str):
+def _load_sixterm(path: str, homs: dict | None = None):
     from .sixterm import SixTermInvariant
-    return _build(SixTermInvariant.from_json, _load_json(path),
+    return _build(lambda data: SixTermInvariant.from_json(data, homs), _load_json(path),
                   f"bad six-term invariant in {path}")
 
 
@@ -213,7 +213,8 @@ def cmd_sixterm_check(args) -> dict:
 
 def cmd_sixterm_compare(args) -> dict:
     from .sixterm import decide_iso_one_ideal
-    return _compare_many(args, _load_sixterm, decide_iso_one_ideal)
+    homs: dict = {}  # one table per run: equal maps of a batch share one Smith form
+    return _compare_many(args, lambda path: _load_sixterm(path, homs), decide_iso_one_ideal)
 
 
 def cmd_subst_compare(args) -> dict:

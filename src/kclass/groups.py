@@ -145,10 +145,11 @@ class GroupHom:
     The Smith form of the lattice L_f = [f | R] (R the codomain
     relations) is computed once, on first use, and shared by every
     reader: (co)kernel, preimages, inverse, surjectivity and exactness.
+    The kernel span read off it is kept beside it.
     """
 
-    # _presentation is a slot, not a field: equality and hashing skip it
-    __slots__ = ("domain", "codomain", "matrix", "_presentation")
+    # the caches are slots, not fields: equality and hashing skip them
+    __slots__ = ("domain", "codomain", "matrix", "_presentation", "_kernel_span")
     domain: FgAbelianGroup
     codomain: FgAbelianGroup
     matrix: IntMatrix
@@ -175,6 +176,7 @@ class GroupHom:
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_presentation", None)
+        object.__setattr__(self, "_kernel_span", None)
 
     @classmethod
     def identity(cls, G: FgAbelianGroup) -> GroupHom:
@@ -213,12 +215,15 @@ class GroupHom:
         return self._presentation
 
     @property
-    def kernel_span(self) -> list[tuple[int, ...]]:
+    def kernel_span(self) -> tuple[tuple[int, ...], ...]:
         """A basis of {v : f v lies in the codomain relations}, the lattice
         kernel(f) pulls back to: the kernel of L_f cut to the domain
         coordinates, as in ``preimage_lattice``."""
-        n = self.domain.ngens
-        return [v[:n] for v in self.presentation.dec.kernel()]
+        if self._kernel_span is None:
+            n = self.domain.ngens
+            object.__setattr__(self, "_kernel_span",
+                               tuple(v[:n] for v in self.presentation.dec.kernel()))
+        return self._kernel_span
 
     def preimage(self, vec: Sequence[int]) -> tuple[int, ...] | None:
         """One x with f x == vec modulo the codomain relations (a solution
@@ -232,8 +237,10 @@ class GroupHom:
     def is_isomorphism(self) -> bool:
         """Groups are canonical, so isomorphic groups are equal, and a
         surjective endomorphism of a finitely generated abelian group is
-        injective."""
-        return self.domain == self.codomain and self.is_surjective()
+        injective.  A generator sent to zero lies in the kernel, so a zero
+        column refuses the map before any factorization."""
+        return (self.domain == self.codomain and all(map(any, zip(*self.matrix.data)))
+                and self.is_surjective())
 
     def inverse(self) -> GroupHom:
         """Inverse of an isomorphism: the preimages of the generators."""

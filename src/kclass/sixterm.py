@@ -194,7 +194,17 @@ class SixTermInvariant:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SixTermInvariant":
+    def from_json(cls, data: dict, homs: dict | None = None) -> "SixTermInvariant":
+        """The invariant stored in ``data``, checked for exactness.
+
+        ``homs`` is a table of the maps loaded so far, keyed by (domain,
+        codomain, matrix as read).  A map already in it is that object,
+        so a batch that shares one table factors each distinct map once;
+        a new map joins the table.  Left out, the table is this call's
+        own.
+        """
+        if homs is None:
+            homs = {}
         groups = {n: _group_from_json(data["groups"][n]) for n in NODES}
         maps = {}
         for key in MAP_KEYS:
@@ -203,7 +213,10 @@ class SixTermInvariant:
                 IntMatrix.zeros(groups[dst].ngens, groups[src].ngens)
             if mat.rows != groups[dst].ngens or mat.cols != groups[src].ngens:
                 raise ValueError(f"map {key} has the wrong shape")
-            maps[key] = GroupHom(groups[src], groups[dst], mat)
+            entry = (groups[src], groups[dst], mat)
+            if entry not in homs:
+                homs[entry] = GroupHom(*entry)
+            maps[key] = homs[entry]
         cones = {n: ConeDescriptor.from_json(data["cones"][n]) for n in CONE_NODES}
         return cls(groups, maps, cones)
 
@@ -346,8 +359,8 @@ def _cokernels(inv: SixTermInvariant) -> list[FgAbelianGroup]:
 
 
 def _hom_space(A: FgAbelianGroup, B: FgAbelianGroup):
-    """All homomorphisms A -> B, or None when they are infinitely many or
-    more than CLOSURE_LIMIT."""
+    """All homomorphisms A -> B, each built when the iteration reaches
+    it, or None when they are infinitely many or more than CLOSURE_LIMIT."""
     if B.free_rank and 0 in A.gen_orders:
         return None
     # a generator of order o (0 if free) sends a torsion coordinate of
@@ -357,7 +370,25 @@ def _hom_space(A: FgAbelianGroup, B: FgAbelianGroup):
     per_gen = [[(0,) * B.free_rank + tor for tor in itertools.product(
                     *(range(0, d, d // math.gcd(o, d)) for d in B.torsion))]
                for o in A.gen_orders]
-    return [GroupHom.from_images(A, B, combo) for combo in itertools.product(*per_gen)]
+    return (GroupHom.from_images(A, B, combo) for combo in itertools.product(*per_gen))
+
+
+class _Replay:
+    """The items of an iterator, each built the first time a pass reaches
+    it and kept, in order, for every later pass."""
+
+    def __init__(self, items):
+        self._items, self._built = iter(items), []
+
+    def __iter__(self):
+        built = self._built
+        for i in itertools.count():
+            if i == len(built):
+                item = next(self._items, None)
+                if item is None:
+                    return
+                built.append(item)
+            yield built[i]
 
 
 def _squares(inv1: SixTermInvariant, inv2: SixTermInvariant, node: str, known: dict):
@@ -426,7 +457,8 @@ def _ext_route(inv1: SixTermInvariant, inv2: SixTermInvariant,
     gens_b = aut_plus_generators(B, inv1.cones["K0B"])
     found, word = orbit_search(E, x1, y2, gens_a, gens_b, limit=ORBIT_LIMIT)
     if found is None:
-        return unknown("extension class orbit exceeded the search limit")
+        return unknown("extension class orbit exceeded the search limit: "
+                       f"ORBIT_LIMIT = {ORBIT_LIMIT}")
     if found is False:
         return not_isomorphic(
             "extension classes differ under every order-compatible "
@@ -524,22 +556,24 @@ def _general_search(inv1: SixTermInvariant, inv2: SixTermInvariant,
     pool_b, complete_b = _iso_pool(g1["K0B"], inv1.cones["K0B"], bases["K0B"])
     pool_a, complete_a = _iso_pool(g1["K0A"], inv1.cones["K0A"], bases["K0A"])
     if pool_b is None or pool_a is None:
-        return unknown("automorphism enumeration exceeded its limit")
+        return unknown("automorphism enumeration exceeded its limit: "
+                       f"CLOSURE_LIMIT = {CLOSURE_LIMIT}")
 
     # The correction families of beta1 and alpha1 are independent of the
     # chosen end pair.  Each parametrizes the homogeneous solutions of its
     # map's square.  Distinct homs stay distinct under composition, since
-    # proj is onto and incl is into.
+    # proj is onto and incl is into.  A correction is built when the
+    # search first reaches it, so a witness found early builds few.
     beta1_corr = None
     Cok, proj = cokernel(inv1.maps["K0A->K1B"])
     homs = _hom_space(Cok, g2["K1B"])
     if homs is not None:
-        beta1_corr = [xi @ proj for xi in homs]
+        beta1_corr = _Replay(xi @ proj for xi in homs)
     alpha1_corr = None
     Ker, incl = kernel(inv2.maps["K1A->K0B"])
     homs = _hom_space(g1["K1A"], Ker)
     if homs is not None:
-        alpha1_corr = [incl @ xi for xi in homs]
+        alpha1_corr = _Replay(incl @ xi for xi in homs)
 
     # Bounded fallback balls for a node whose correction space is
     # infinite; they recover common twists but never prove absence, so a
@@ -572,7 +606,7 @@ def _general_search(inv1: SixTermInvariant, inv2: SixTermInvariant,
     for beta0, alpha0 in itertools.product(pool_b, pool_a):
         seen_pairs += 1
         if budget is not None and seen_pairs > budget:
-            return unknown("pair budget exhausted before a decision")
+            return unknown(f"pair budget exhausted before a decision: PAIR_BUDGET = {PAIR_BUDGET}")
         known = {"K0B": beta0, "K0A": alpha0}
         eta0 = _fill(inv1, inv2, "K0E", known)
         if eta0 is None:

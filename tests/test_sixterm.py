@@ -4,6 +4,7 @@ import json
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from oracles import ext_orbit_bruteforce, homs_bruteforce, sixterm_iso_bruteforce
@@ -464,8 +465,8 @@ def test_unknown_names_the_sampled_node():
 # free_end_hexagon(1) and (-1) are proved apart by trying both order
 # automorphisms of (Z^2, coordinate cone) at K0B: two end pairs.
 @pytest.mark.parametrize("bound, value, reason", [
-    ("PAIR_BUDGET", 1, "pair budget exhausted before a decision"),
-    ("CLOSURE_LIMIT", 1, "automorphism enumeration exceeded its limit"),
+    ("PAIR_BUDGET", 1, "pair budget exhausted before a decision: PAIR_BUDGET = 1"),
+    ("CLOSURE_LIMIT", 1, "automorphism enumeration exceeded its limit: CLOSURE_LIMIT = 1"),
 ])
 def test_exhausted_search_bound_is_unknown(monkeypatch, bound, value, reason):
     s, t = free_end_hexagon(1), free_end_hexagon(-1)
@@ -499,7 +500,8 @@ def test_end_with_too_many_automorphisms_is_refused_at_once():
     start = time.perf_counter()
     v = decide_iso_one_ideal(s, t)
     assert time.perf_counter() - start < 1.0
-    assert (v.status, v.reason) == ("unknown", "automorphism enumeration exceeded its limit")
+    assert (v.status, v.reason) == (
+        "unknown", "automorphism enumeration exceeded its limit: CLOSURE_LIMIT = 100000")
 
 
 def prime_end_hexagon(sign):
@@ -528,7 +530,8 @@ def test_end_with_a_large_prime_factor_is_refused_without_factoring(monkeypatch)
     start = time.perf_counter()
     v = decide_iso_one_ideal(prime_end_hexagon(1), prime_end_hexagon(-1))
     assert time.perf_counter() - start < 1.0
-    assert (v.status, v.reason) == ("unknown", "automorphism enumeration exceeded its limit")
+    assert (v.status, v.reason) == (
+        "unknown", "automorphism enumeration exceeded its limit: CLOSURE_LIMIT = 100000")
 
 
 def z7_extension(k):
@@ -549,7 +552,8 @@ def test_exhausted_orbit_limit_is_unknown(monkeypatch):
     assert decide_iso_one_ideal(s, t).status == "isomorphic"
     monkeypatch.setattr(kclass.sixterm, "ORBIT_LIMIT", 2)
     v = decide_iso_one_ideal(s, t)
-    assert (v.status, v.reason) == ("unknown", "extension class orbit exceeded the search limit")
+    assert (v.status, v.reason) == (
+        "unknown", "extension class orbit exceeded the search limit: ORBIT_LIMIT = 2")
 
 
 def test_ext_orbit_stage_matches_the_orbit_oracle():
@@ -603,8 +607,8 @@ class _RouteReached(Exception):
 
 
 def test_each_map_is_factored_once(monkeypatch):
-    # loading an invariant factors each of its six maps once, to prove
-    # exactness; the decision then reads the map shapes off those
+    # loading an invariant factors each of its distinct maps once, to
+    # prove exactness; the decision then reads the map shapes off those
     # factorizations and needs no Smith form of its own before the
     # identity shortcut or a route, and neither do the extension class of
     # a K0 row that is short exact or the inverse of a map known to be an
@@ -634,11 +638,14 @@ def test_each_map_is_factored_once(monkeypatch):
     for inv in invs:
         before = calls["snf"]
         loaded.append(SixTermInvariant.from_json(inv.to_json()))
-        assert calls["snf"] - before == 6
         maps = loaded[-1].maps
+        # equal maps of one invariant are one object
+        distinct = len(set(maps.values()))
+        assert len({id(h) for h in maps.values()}) == distinct
+        assert calls["snf"] - before == distinct
         if maps["K1A->K0B"].is_zero() and maps["K0A->K1B"].is_zero():
             extension_class(maps["K0B->K0E"], maps["K0E->K0A"])
-            assert calls["snf"] - before == 6
+            assert calls["snf"] - before == distinct
             short_exact += 1
     assert short_exact >= 40, short_exact
 
@@ -730,7 +737,102 @@ def test_exhausted_budget_is_a_result_on_the_command_line(monkeypatch, capsys, t
     out, err = capsys.readouterr()
     assert (rc, err) == (0, "")
     assert json.loads(out) == {"verdict": "unknown",
-                               "reason": "pair budget exhausted before a decision"}
+                               "reason": "pair budget exhausted before a decision: "
+                                         "PAIR_BUDGET = 1"}
+
+
+def write_batch(tmp_path, invs, pairs):
+    """One file per invariant and a manifest of the index pairs."""
+    for i, inv in enumerate(invs):
+        (tmp_path / f"inv{i}.json").write_text(json.dumps(inv.to_json()))
+    manifest = tmp_path / "man.json"
+    manifest.write_text(json.dumps([[f"inv{i}.json", f"inv{j}.json"] for i, j in pairs]))
+    return str(manifest)
+
+
+def count_loading_snf(monkeypatch):
+    """Count the Smith forms computed inside SixTermInvariant.from_json."""
+    calls = Counter()
+    real_snf, real_load = kclass.matrix.snf, SixTermInvariant.from_json.__func__
+
+    def snf(M):
+        calls["snf"] += calls["loading"] > 0
+        return real_snf(M)
+
+    def from_json(cls, data, homs=None):
+        calls["loading"] += 1
+        try:
+            return real_load(cls, data, homs)
+        finally:
+            calls["loading"] -= 1
+    for module in (kclass.matrix, kclass.groups):
+        monkeypatch.setattr(module, "snf", snf)
+    monkeypatch.setattr(SixTermInvariant, "from_json", classmethod(from_json))
+    return calls
+
+
+def test_batch_factors_each_distinct_map_once(monkeypatch, capsys, tmp_path):
+    rng = random.Random(41)
+    corpus = invariant_corpus(43, 64)
+    invs = corpus + [_twisted(inv, rng)[0] for inv in corpus[:24]]
+    pairs = (list(itertools.combinations(range(64), 2))
+             + [(i, 64 + i) for i in range(24)] + [(i, i) for i in range(0, 64, 8)])
+    manifest = write_batch(tmp_path, invs, pairs)
+    # the same decisions on invariants that each load with a table of their own
+    alone = [SixTermInvariant.from_json(inv.to_json()) for inv in invs]
+    expected = [decide_iso_one_ideal(alone[i], alone[j]).to_json() for i, j in pairs]
+    # every twisted and every repeated pair comes with a witness
+    assert Counter(r["verdict"] for r in expected)["isomorphic"] >= 24 + 8
+    distinct = len({h for inv in alone for h in inv.maps.values()})
+    assert distinct < 3 * len(invs)
+
+    calls = count_loading_snf(monkeypatch)
+    for run in (1, 2):
+        rc = main(["sixterm", "compare", "--batch", manifest])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["results"] == expected
+        # one Smith form per distinct map, and none kept from an earlier run
+        assert calls["snf"] == run * distinct
+
+
+def test_maps_with_one_matrix_and_different_codomains_stay_apart():
+    # Z -> Z/2 and Z -> Z/4 by [[1]]: one matrix, two maps
+    def quotient_row(d):
+        Zd = FgAbelianGroup(0, (d,))
+        groups = {"K0B": Z, "K0E": Z, "K0A": Zd, "K1A": TRIV, "K1E": TRIV, "K1B": TRIV}
+        maps = {key: hom(groups[key[:3]], groups[key[5:]]) for key in MAP_KEYS}
+        maps.update({"K0B->K0E": hom(Z, Z, [[d]]), "K0E->K0A": hom(Z, Zd, [[1]])})
+        cones = {"K0B": standard_free_cone(), "K0E": unordered_cone(),
+                 "K0A": all_positive_cone()}
+        return SixTermInvariant(groups, maps, cones).to_json()
+
+    homs = {}
+    a, b = (SixTermInvariant.from_json(quotient_row(d), homs) for d in (2, 4))
+    pa, pb = a.maps["K0E->K0A"], b.maps["K0E->K0A"]
+    assert pa is not pb and pa.matrix == pb.matrix
+    assert (pa.codomain, pb.codomain) == (FgAbelianGroup(0, (2,)), FgAbelianGroup(0, (4,)))
+    # the maps among trivial groups and into K0B = Z are one object each,
+    # so the table holds five maps of the first cycle and three of the second
+    for key in ("K1B->K1E", "K1E->K1A", "K1A->K0B"):
+        assert a.maps[key] is b.maps[key]
+    assert a.maps["K1B->K1E"] is a.maps["K1E->K1A"]
+    assert len(homs) == 8
+
+
+def test_cycle_that_is_not_exact_ends_a_sharing_batch(capsys, tmp_path):
+    # the broken cycle shares five maps with z7_extension(1), loaded before it
+    broken = z7_extension(1).to_json()
+    broken["maps"]["K0B->K0E"] = [[5]]
+    manifest = write_batch(tmp_path, [z7_extension(1), z7_extension(2)], [(0, 1)])
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(broken))
+    expected = f"error: bad six-term invariant in {path}: not exact at K0E\n"
+    rc = main(["sixterm", "compare", str(tmp_path / "inv0.json"), str(path)])
+    assert (rc, *capsys.readouterr()) == (2, "", expected)
+    Path(manifest).write_text(json.dumps([["inv0.json", "inv1.json"], ["inv1.json", "broken.json"]]))
+    rc = main(["sixterm", "compare", "--batch", manifest])
+    assert (rc, *capsys.readouterr()) == (2, "", expected)
 
 
 def _twisted(inv, rng):
@@ -821,6 +923,12 @@ def test_squares_hold_at_the_twist_and_fill_solves_them():
     assert moved >= 60
 
 
+def listed_hom_space(A, B):
+    """The maps _hom_space builds one by one, as a list; None stays None."""
+    homs = kclass.sixterm._hom_space(A, B)
+    return None if homs is None else list(homs)
+
+
 def test_hom_space_matches_bruteforce_in_order():
     groups = [FgAbelianGroup(0, t) for t in
               ((), (2,), (3,), (4,), (6,), (2, 2), (2, 4), (3, 6), (2, 2, 2))]
@@ -829,16 +937,16 @@ def test_hom_space_matches_bruteforce_in_order():
         brute = homs_bruteforce(A, B)
         if len(brute) > 600:
             continue
-        assert kclass.sixterm._hom_space(A, B) == brute
+        assert listed_hom_space(A, B) == brute
         checked += 1
     assert checked >= 60
     # a free generator into a finite group goes anywhere
-    assert kclass.sixterm._hom_space(Z, Z3) == [hom(Z, Z3, [[c]]) for c in range(3)]
+    assert listed_hom_space(Z, Z3) == [hom(Z, Z3, [[c]]) for c in range(3)]
 
 
 def test_hom_space_into_z_plus_z2():
     ZZ2 = FgAbelianGroup(1, (2,))
-    hom_space = kclass.sixterm._hom_space
+    hom_space = listed_hom_space
     # a free generator can go to any multiple of the free generator
     assert hom_space(Z, ZZ2) is None
     assert hom_space(ZZ2, ZZ2) is None
@@ -855,12 +963,12 @@ def test_hom_space_into_z_plus_z2():
 def test_hom_space_past_the_closure_limit_is_none(monkeypatch):
     V = FgAbelianGroup(0, (2, 4))
     # Hom(Z/2 + Z/4, Z/2 + Z/4) has 2 * 2 * 2 * 4 = 32 elements
-    assert len(kclass.sixterm._hom_space(V, V)) == 32
+    assert len(listed_hom_space(V, V)) == 32
     monkeypatch.setattr(kclass.sixterm, "CLOSURE_LIMIT", 32)
-    assert len(kclass.sixterm._hom_space(V, V)) == 32
+    assert len(listed_hom_space(V, V)) == 32
     monkeypatch.setattr(kclass.sixterm, "CLOSURE_LIMIT", 31)
-    assert kclass.sixterm._hom_space(V, V) is None
-    assert len(kclass.sixterm._hom_space(Z2, V)) == 4
+    assert listed_hom_space(V, V) is None
+    assert len(listed_hom_space(Z2, V)) == 4
 
 
 def k1_hexagon(k1b, k1e, k1a, maps):
@@ -875,16 +983,23 @@ def k1_hexagon(k1b, k1e, k1a, maps):
     return SixTermInvariant(groups, full, cones)
 
 
+def transvection_pair(n):
+    """Two isomorphic cycles with K1B = K1E = (Z/2)^n joined by the
+    identity against a transvection, so that beta1 is corrected by the
+    2^(n*n) maps of Hom((Z/2)^n, (Z/2)^n)."""
+    V = FgAbelianGroup(0, (2,) * n)
+    mats = ([[int(i == j) for j in range(n)] for i in range(n)],
+            [[int(i == j or (i, j) == (0, 1)) for j in range(n)] for i in range(n)])
+    return [k1_hexagon(V, V, TRIV, {"K1B->K1E": hom(V, V, m)}) for m in mats]
+
+
 def crowded_pair(node):
     """Two isomorphic cycles with more than CLOSURE_LIMIT maps correcting
     a solution at ``node``: at K1B, Hom((Z/2)^5, (Z/2)^5) with 2^25 maps
     (the identity against a transvection); at K1A, Hom(Z/10^6, Z/10^6)
     (multiplication by 1 against 3)."""
     if node == "K1B":
-        V = FgAbelianGroup(0, (2,) * 5)
-        mats = ([[int(i == j) for j in range(5)] for i in range(5)],
-                [[int(i == j or (i, j) == (0, 1)) for j in range(5)] for i in range(5)])
-        return [k1_hexagon(V, V, TRIV, {"K1B->K1E": hom(V, V, m)}) for m in mats]
+        return transvection_pair(5)
     C = FgAbelianGroup(0, (10**6,))
     return [k1_hexagon(TRIV, C, C, {"K1E->K1A": hom(C, C, [[u]])}) for u in (1, 3)]
 
@@ -896,6 +1011,58 @@ def test_node_with_too_many_maps_is_sampled_not_listed(node):
     v = decide_iso_one_ideal(s, t)
     assert time.perf_counter() - start < 2.0
     assert v.status == "isomorphic" and verify_witness(s, t, v.witness)
+
+
+def test_listed_corrections_are_built_as_the_search_reaches_them(monkeypatch):
+    # Hom((Z/2)^4, (Z/2)^4) has 2^16 maps, within CLOSURE_LIMIT, so they
+    # correct beta1 as a listed family; the first isomorphism among the
+    # corrections comes a few thousand maps in, and none past it is built
+    s, t = transvection_pair(4)
+    real = kclass.sixterm._hom_space
+    built = Counter()
+
+    def count(h):
+        built["maps"] += 1
+        return h
+
+    def counted(A, B):
+        homs = real(A, B)
+        return None if homs is None else map(count, homs)
+    monkeypatch.setattr(kclass.sixterm, "_hom_space", counted)
+    start = time.perf_counter()
+    v = decide_iso_one_ideal(s, t)
+    assert time.perf_counter() - start < 1.0
+    assert v.status == "isomorphic" and verify_witness(s, t, v.witness)
+    assert 0 < built["maps"] < 2**13
+
+
+def test_replay_builds_each_item_once_in_order():
+    built = []
+
+    def items():
+        for k in range(5):
+            built.append(k)
+            yield k
+    family = kclass.sixterm._Replay(items())
+    assert list(itertools.islice(family, 2)) == [0, 1] and built == [0, 1]
+    first = iter(family)
+    assert next(first) == 0
+    # a pass begun later, or run between the steps of another, sees every item
+    assert list(family) == [0, 1, 2, 3, 4]
+    assert list(first) == [1, 2, 3, 4]
+    assert built == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("seed, k", [(104, 18), (105, 27)])
+def test_correction_families_hold_for_every_pass(seed, k):
+    # twisted copies whose witness takes a correction that an earlier pass
+    # over the same family reached first; a family iterated only once
+    # leaves these pairs unknown
+    rng = random.Random(seed)
+    corpus = invariant_corpus(seed, k + 1)
+    twin = [_twisted(inv, rng)[0] for inv in corpus][k]
+    v = decide_iso_one_ideal(corpus[k], twin)
+    assert v.status == "isomorphic" and verify_witness(corpus[k], twin, v.witness)
 
 
 def large_unit_group_pair(kind):
