@@ -21,7 +21,7 @@ from math import gcd
 from typing import Sequence
 
 from .matrix import IntMatrix, identity_rows, kron
-from .groups import FgAbelianGroup, GroupHom, Presentation
+from .groups import FgAbelianGroup, GroupHom, cokernel
 
 
 @dataclass(frozen=True, repr=False)
@@ -65,7 +65,7 @@ class ExtGroup:
     def reduce(self, coords: Sequence[int]) -> tuple[int, ...]:
         if len(coords) != len(self.moduli):
             raise ValueError("coordinate length mismatch")
-        return tuple(x % m if m else 0 for x, m in zip(coords, self.moduli))
+        return tuple(x % m for x, m in zip(coords, self.moduli))
 
     def element(self, coords: Sequence[int]) -> ExtElement:
         return ExtElement(self, coords)
@@ -137,7 +137,8 @@ def realize_extension(x: ExtElement) -> tuple[FgAbelianGroup, GroupHom, GroupHom
     Returns (middle group, inclusion, projection) built from the block
     coordinates of x: the middle group is generated by the generators of
     B and lifts of the generators of A, with each torsion lift g_i
-    satisfying d_i g_i = (block i of x) inside B.
+    satisfying d_i g_i = (block i of x) inside B.  G is the cokernel of
+    those relations as a map into Z^(generators of B and A).
     """
     E = x.group
     A, B = E.source, E.target
@@ -152,8 +153,8 @@ def realize_extension(x: ExtElement) -> tuple[FgAbelianGroup, GroupHom, GroupHom
         col = [-c for c in E.block(x.coords, i)] + [0] * na
         col[nb + A.free_rank + i] = d
         cols.append(col)
-    q = Presentation(IntMatrix.from_columns(cols, rows=n)).quotient(FgAbelianGroup(n))
-    G = q.codomain
+    G, q = cokernel(GroupHom(FgAbelianGroup(len(cols)), FgAbelianGroup(n),
+                             IntMatrix.from_columns(cols, rows=n)))
     incl = GroupHom(B, G, IntMatrix([row[:nb] for row in q.matrix.data], cols=nb))
     proj = GroupHom.from_images(G, A, [A.reduce(q.preimage(e)[nb:])
                                        for e in identity_rows(G.ngens)])

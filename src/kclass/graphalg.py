@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrix import IntMatrix, identity_rows
-from .groups import FgAbelianGroup, GroupHom, Presentation
+from .groups import FgAbelianGroup, GroupHom, cokernel
 from .sixterm import (SixTermInvariant, all_positive_cone, standard_free_cone,
                       unordered_cone)
 
@@ -217,14 +217,15 @@ class GraphKTheory:
     """K-groups of a graph from M, the transposed adjacency minus the
     identity on the emitting columns (listed in ``regular``).
 
-    ``vertex_classes`` maps Z^vertices onto K0, the cokernel of M, and
-    ``lift`` sends a K0 element to a vertex vector of its class.  K1 is
-    the integer kernel of M, and ``cycles`` maps it into Z^regular, one
-    basis vector per column.  A side with ``af`` set must have no cycle,
-    and then nothing is factored.  Its adjacency A is nilpotent, so
-    A^T - I is unimodular and M, a set of its columns, is injective: K1
-    is 0.  K0 is read in path-count coordinates, free on the sinks, and
-    the path-count column of a sink is its own unit vector.
+    ``vertex_classes`` maps Z^vertices onto K0, the cokernel of M as a
+    map Z^regular -> Z^vertices, and ``lift`` sends a K0 element to a
+    vertex vector of its class.  K1 is the integer kernel of M, that
+    map's kernel span, and ``cycles`` maps it into Z^regular, one basis
+    vector per column.  A side with ``af`` set must have no cycle, and
+    then nothing is factored.  Its adjacency A is nilpotent, so A^T - I
+    is unimodular and M, a set of its columns, is injective: K1 is 0.
+    K0 is read in path-count coordinates, free on the sinks, and the
+    path-count column of a sink is its own unit vector.
     """
 
     def __init__(self, graph: DirectedGraph, af: bool):
@@ -254,9 +255,9 @@ class GraphKTheory:
                 vertices, FgAbelianGroup(len(sinks)), [counts[v] for v in range(graph.n)])
             self.lift = lambda x: _pad(x, sinks, graph.n)
         else:
-            pres = Presentation(self.matrix)
-            basis = pres.dec.kernel()
-            self.vertex_classes = pres.quotient(vertices)
+            f = GroupHom(FgAbelianGroup(len(self.regular)), vertices, self.matrix)
+            basis = f.kernel_span
+            _, self.vertex_classes = cokernel(f)
             self.lift = self.vertex_classes.preimage
         self.k0 = self.vertex_classes.codomain
         self.k1 = FgAbelianGroup(len(basis))

@@ -100,9 +100,9 @@ class Presentation:
 
     The presented group is Z^n modulo the column span of ``rel`` (n =
     ``rel.rows``).  The Smith form of the relations yields the canonical
-    form together with the quotient map from ambient coordinates; ``dec``
-    keeps that Smith form, for the kernel of ``rel`` and to solve against
-    it.
+    form together with the quotient map from ambient coordinates, which
+    ``cokernel`` reads off; ``dec`` keeps that Smith form, for the kernel
+    of ``rel`` and to solve against it.
     """
 
     __slots__ = ("group", "dec", "_free_idx", "_tor_idx", "_orders")
@@ -123,14 +123,6 @@ class Presentation:
         coords.extend(y[j] % d for j, d in zip(self._tor_idx, self._orders))
         return tuple(coords)
 
-    def quotient(self, ambient: FgAbelianGroup) -> GroupHom:
-        """The map onto the presented group from ``ambient``, a group on
-        the n ambient coordinates whose relations lie in those of ``rel``:
-        the rows of U that carry a free or torsion generator."""
-        U = self.dec.U
-        return GroupHom(ambient, self.group, IntMatrix(
-            [U.row(j) for j in self._free_idx + self._tor_idx], cols=U.cols))
-
 
 @dataclass(frozen=True, init=False, repr=False)
 class GroupHom:
@@ -138,9 +130,10 @@ class GroupHom:
 
     The matrix has one column per domain generator and one row per
     codomain generator.  Rows against torsion generators are stored
-    reduced modulo the generator order.  Matrices that do not define a
-    homomorphism (a torsion generator sent to an element not killed by
-    its order) are rejected.
+    reduced modulo the generator order: only a codomain with torsion
+    copies the matrix, and a free one keeps the caller's (immutable)
+    matrix.  Matrices that do not define a homomorphism (a torsion
+    generator sent to an element not killed by its order) are rejected.
 
     The Smith form of the lattice L_f = [f | R] (R the codomain
     relations) is computed once, on first use, and shared by every
@@ -159,11 +152,9 @@ class GroupHom:
             raise ValueError(
                 f"hom matrix must be {codomain.ngens}x{domain.ngens}, got {matrix.rows}x{matrix.cols}")
         cod_orders = codomain.gen_orders
-        reduced = [
-            [x % d if d else x for x in row]
-            for row, d in zip(matrix.to_lists(), cod_orders)
-        ] if matrix.rows else []
-        matrix = IntMatrix(reduced, cols=matrix.cols)
+        if codomain.torsion:
+            matrix = IntMatrix([[x % d if d else x for x in row]
+                                for row, d in zip(matrix.data, cod_orders)], cols=matrix.cols)
         for j, o in enumerate(domain.gen_orders):
             if o == 0:
                 continue
@@ -260,29 +251,34 @@ def kernel(f: GroupHom) -> tuple[FgAbelianGroup, GroupHom]:
     span = f.kernel_span
     B = IntMatrix.from_columns(span, rows=G.ngens)
     rels = preimage_lattice(B, relation_matrix(G))
-    q = Presentation(IntMatrix.from_columns(rels, rows=len(span))).quotient(
-        FgAbelianGroup(len(span)))
-    K = q.codomain
+    K, q = cokernel(GroupHom(FgAbelianGroup(len(rels)), FgAbelianGroup(len(span)),
+                             IntMatrix.from_columns(rels, rows=len(span))))
     return K, GroupHom.from_images(K, G, [B.apply(q.preimage(e)) for e in identity_rows(K.ngens)])
 
 
 def cokernel(f: GroupHom) -> tuple[FgAbelianGroup, GroupHom]:
-    """Cokernel with the projection from the codomain."""
-    proj = f.presentation.quotient(f.codomain)
+    """Cokernel with the projection from the codomain: the rows of U (in
+    U [f | R] V = D) that carry a generator of the quotient.  For an
+    integer matrix M, cokernel(GroupHom(Z^q, Z^n, M)) is Z^n / M Z^q."""
+    pres = f.presentation
+    U = pres.dec.U
+    proj = GroupHom(f.codomain, pres.group, IntMatrix(
+        [U.row(j) for j in pres._free_idx + pres._tor_idx], cols=U.cols))
     return proj.codomain, proj
 
 
 def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
     """Whether image(f) equals kernel(g) inside f.codomain == g.domain.
 
-    image(f) lies in kernel(g) exactly when g f = 0.  Then the lattice
-    L_f = [f | R] of image(f) lies in the lattice kernel(g) pulls back
-    to, and the two are equal exactly when every vector of g's kernel
-    span lies in L_f, that is, projects to zero modulo L_f.
+    image(f) lies in kernel(g) exactly when g sends every column of f
+    to zero; no composed hom is built.  Then the lattice L_f = [f | R]
+    of image(f) lies in the lattice kernel(g) pulls back to, and the two
+    are equal exactly when every vector of g's kernel span lies in L_f,
+    that is, projects to zero modulo L_f.
     """
     if f.codomain != g.domain:
         raise ValueError("maps are not composable")
-    if not (g @ f).is_zero():
+    if any(any(g(col)) for col in zip(*f.matrix.data)):
         return False
     pres = f.presentation
     zero = pres.group.zero()

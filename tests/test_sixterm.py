@@ -25,7 +25,7 @@ from kclass.sixterm import (
     SixTermInvariant, ConeDescriptor, Witness, UnsupportedConeError,
     validate_sixterm, verify_witness, aut_plus_generators, decide_iso_one_ideal,
     all_positive_cone, standard_free_cone, stationary_cone, unordered_cone,
-    NODES, MAP_KEYS,
+    NODES, MAP_KEYS, NotExactError,
 )
 from kclass.autgroups import aut_generators, subgroup_closure
 
@@ -580,7 +580,8 @@ def test_ext_orbit_stage_matches_the_orbit_oracle():
 def test_extension_classes_trust_the_exact_invariant(monkeypatch):
     # a six-term invariant is proved exact when it is built and
     # realize_extension is exact by construction, so neither the Ext
-    # route nor extension_class proves exactness again
+    # route nor extension_class proves exactness again; the one cokernel
+    # in ext is realize_extension building its middle group
     calls = Counter()
     for name in ("kernel", "cokernel", "is_exact_pair"):
         def counted(*args, name=name, original=getattr(kclass.groups, name)):
@@ -599,7 +600,7 @@ def test_extension_classes_trust_the_exact_invariant(monkeypatch):
     for coords in [(1, 0, 1, 2), (0, 3, 1, 0)]:
         x = E.element(coords)
         assert extension_class(*realize_extension(x)[1:]) == x
-    assert calls == Counter(extension_class=4)
+    assert calls == Counter(extension_class=4, cokernel=2)
 
 
 class _RouteReached(Exception):
@@ -818,6 +819,31 @@ def test_maps_with_one_matrix_and_different_codomains_stay_apart():
         assert a.maps[key] is b.maps[key]
     assert a.maps["K1B->K1E"] is a.maps["K1E->K1A"]
     assert len(homs) == 8
+
+
+def test_loading_composes_no_hom(monkeypatch):
+    # exactness applies each map to the columns of the one before it
+    # instead of building the composed map
+    calls = Counter()
+    real = GroupHom.__matmul__
+
+    def counted(g, f):
+        calls["matmul"] += 1
+        return real(g, f)
+    monkeypatch.setattr(GroupHom, "__matmul__", counted)
+    loaded = [SixTermInvariant.from_json(inv.to_json()) for inv in invariant_corpus(23, 12)]
+    assert len(loaded) == 12 and calls["matmul"] == 0
+    # a map outside the next kernel, an image short of it, and a zero map
+    for k, key, matrix, failures in [
+            (1, "K0B->K0E", [[5]], ["not exact at K0E"]),
+            (1, "K0B->K0E", [[14]], ["not exact at K0E"]),
+            (2, "K0E->K0A", [[0]], ["not exact at K0E", "not exact at K0A"])]:
+        data = z7_extension(k).to_json()
+        data["maps"][key] = matrix
+        with pytest.raises(NotExactError) as exc:
+            SixTermInvariant.from_json(data)
+        assert exc.value.failures == failures
+    assert calls["matmul"] == 0
 
 
 def test_cycle_that_is_not_exact_ends_a_sharing_batch(capsys, tmp_path):
