@@ -142,68 +142,53 @@ def aut_order(G: FgAbelianGroup) -> int:
     return order
 
 
-def subgroup_closure(gens: Sequence[GroupHom], limit: int = 10 ** 6,
-                     group: FgAbelianGroup | None = None) -> list[GroupHom] | None:
-    """All products of the generators, or None past ``limit`` elements.
-
-    Intended for automorphisms of finite groups, where closing under
-    composition automatically closes under inverse.  ``group`` supplies
-    the underlying group when the generator list is empty.
-    """
-    if not gens:
-        return [GroupHom.identity(group)] if group is not None else []
-    G = gens[0].domain
-    ident = GroupHom.identity(G)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for h in frontier:
-            for g in gens:
-                c = g @ h
-                if c not in seen:
-                    seen.add(c)
-                    if len(seen) > limit:
-                        return None
-                    new.append(c)
-        frontier = new
-    return sorted(seen, key=lambda h: h.matrix.to_lists())
+def _entries(h: GroupHom):
+    return h.matrix.data
 
 
-def word_ball(gens: Sequence[GroupHom], radius: int, limit: int = 10 ** 6) -> list[GroupHom]:
-    """Distinct products of at most ``radius`` generators or inverses.
-
-    Deterministic order: breadth first, ties by matrix entries.  Useful
-    for sampling infinite automorphism groups; truncated at ``limit``.
-    """
-    if not gens:
-        return []
-    G = gens[0].domain
-    alphabet: list[GroupHom] = []
-    for g in gens:
-        alphabet.append(g)
-        try:
-            inv = g.inverse()
-        except ValueError:
-            continue
-        if inv not in alphabet:
-            alphabet.append(inv)
-    ident = GroupHom.identity(G)
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    for _ in range(radius):
+def _products(group: FgAbelianGroup, alphabet: Sequence[GroupHom], limit: int,
+              radius: int | None = None) -> list[GroupHom]:
+    """Distinct products of at most ``radius`` letters (any number when
+    None), breadth first from the identity with each frontier sorted by
+    matrix entries; the list stops growing once it holds ``limit``."""
+    seen = {GroupHom.identity(group): None}  # a dict keeps insertion order
+    frontier = list(seen)
+    depth = 0
+    while frontier and depth != radius:
+        depth += 1
         new = []
         for h in frontier:
             for g in alphabet:
                 c = g @ h
                 if c not in seen:
-                    seen.add(c)
-                    order.append(c)
+                    seen[c] = None
+                    if len(seen) >= limit:
+                        return list(seen)
                     new.append(c)
-                    if len(order) >= limit:
-                        return order
-        new.sort(key=lambda h: h.matrix.to_lists())
+        new.sort(key=_entries)
         frontier = new
-    return order
+    return list(seen)
 
+
+def subgroup_closure(group: FgAbelianGroup, gens: Sequence[GroupHom],
+                     limit: int = 10 ** 6) -> list[GroupHom] | None:
+    """All products of the generators sorted by matrix entries, or None
+    past ``limit`` elements.
+
+    Intended for automorphisms of finite groups, where closing under
+    composition automatically closes under inverse.
+    """
+    auts = _products(group, gens, limit + 1)
+    return None if len(auts) > limit else sorted(auts, key=_entries)
+
+
+def word_ball(group: FgAbelianGroup, gens: Sequence[GroupHom], radius: int,
+              limit: int = 10 ** 6) -> list[GroupHom]:
+    """Distinct products of at most ``radius`` automorphisms among the
+    generators and their inverses.
+
+    Deterministic order: breadth first, ties by matrix entries.  Useful
+    for sampling infinite automorphism groups; truncated at ``limit``.
+    """
+    alphabet = list(dict.fromkeys(a for g in gens for a in (g, g.inverse())))
+    return _products(group, alphabet, limit, radius)

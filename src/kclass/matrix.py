@@ -82,6 +82,8 @@ class IntMatrix:
     def hstack(cls, left: IntMatrix, right: IntMatrix) -> IntMatrix:
         if left.rows != right.rows:
             raise ValueError("row counts differ")
+        if not right.cols:  # matrices are immutable, so left can be shared
+            return left
         return cls([lr + rr for lr, rr in zip(left.data, right.data)],
                    cols=left.cols + right.cols) if left.rows else \
             cls([], cols=left.cols + right.cols)

@@ -144,6 +144,15 @@ def _group_from_json(data: dict) -> FgAbelianGroup:
     return G
 
 
+def _matrix_from_json(raw, codomain: FgAbelianGroup, domain: FgAbelianGroup,
+                      name: str) -> IntMatrix:
+    """A map's matrix read from JSON: a list of rows, ``[]`` standing for
+    the zero map.  Any other value, even a falsy one, raises TypeError."""
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise TypeError(f"{name} must be a list of rows")
+    return IntMatrix(raw) if raw else IntMatrix.zeros(codomain.ngens, domain.ngens)
+
+
 @dataclass(frozen=True)
 class SixTermInvariant:
     """The exact six-term cycle with cones on its K0 nodes.
@@ -209,8 +218,7 @@ class SixTermInvariant:
         maps = {}
         for key in MAP_KEYS:
             src, dst = key.split("->")
-            mat = IntMatrix(data["maps"][key]) if data["maps"][key] else \
-                IntMatrix.zeros(groups[dst].ngens, groups[src].ngens)
+            mat = _matrix_from_json(data["maps"][key], groups[dst], groups[src], f"map {key}")
             if mat.rows != groups[dst].ngens or mat.cols != groups[src].ngens:
                 raise ValueError(f"map {key} has the wrong shape")
             entry = (groups[src], groups[dst], mat)
@@ -256,9 +264,7 @@ class Witness:
         homs = {}
         for name, node in _WITNESS_NODES:
             dom, cod = inv1.groups[node], inv2.groups[node]
-            raw = data[name]
-            mat = IntMatrix(raw) if raw else IntMatrix.zeros(cod.ngens, dom.ngens)
-            homs[name] = GroupHom(dom, cod, mat)
+            homs[name] = GroupHom(dom, cod, _matrix_from_json(data[name], cod, dom, name))
         return cls(**homs)
 
 
@@ -275,9 +281,11 @@ def _rank2(cone: ConeDescriptor) -> StationaryDimensionGroup:
 
 def _order_respecting(h: GroupHom, c1: ConeDescriptor, c2: ConeDescriptor) -> bool:
     """Whether the isomorphism h carries cone c1 onto cone c2."""
+    if h.domain.is_trivial():
+        # every cone on the trivial group is the same cone
+        return True
     if c1.tag != c2.tag:
-        # Every cone on the trivial group is the same cone.
-        return h.domain.is_trivial() and h.codomain.is_trivial()
+        return False
     if c1.tag in (UNORDERED, ALL_POSITIVE):
         return True
     if c1.tag == STANDARD_FREE:
@@ -337,10 +345,11 @@ def _end_pair(inv1: SixTermInvariant, inv2: SixTermInvariant, node: str):
     exists."""
     G1, G2 = inv1.groups[node], inv2.groups[node]
     c1, c2 = inv1.cones[node], inv2.cones[node]
-    if c1.tag != STATIONARY_DG or c2.tag != STATIONARY_DG:
-        # Equal canonical groups with coordinate cones: identity works.
-        # decide_iso_one_ideal has already answered not_isomorphic for
-        # differing tags on a nontrivial group.
+    if G1.is_trivial() or c1.tag != STATIONARY_DG or c2.tag != STATIONARY_DG:
+        # Equal canonical groups with coordinate cones, or the trivial
+        # group with any cones: identity works.  decide_iso_one_ideal has
+        # already answered not_isomorphic for differing tags on a
+        # nontrivial group.
         return GroupHom.identity(G1)
     dg1, dg2 = _rank2(c1), _rank2(c2)
     try:
@@ -425,13 +434,13 @@ def _iso_pool(G1, c1, base: GroupHom):
         return None, False
     gens = aut_plus_generators(G1, c1)
     if G1.is_finite() or c1.tag == STANDARD_FREE:
-        auts = subgroup_closure(gens, limit=CLOSURE_LIMIT, group=G1)
+        auts = subgroup_closure(G1, gens, limit=CLOSURE_LIMIT)
         if auts is None:
             return None, False
         return [base @ a for a in auts], True
     # infinite group, infinite automorphism family: bounded word ball
     ball = STATIONARY_BALL if c1.tag == STATIONARY_DG else END_BALL
-    auts = word_ball(gens, *ball)
+    auts = word_ball(G1, gens, *ball)
     return [base @ a for a in auts], False
 
 
@@ -582,8 +591,9 @@ def _general_search(inv1: SixTermInvariant, inv2: SixTermInvariant,
 
     def bijective_candidates(node, particular, corrections, known):
         """The isomorphisms among particular plus each correction, then,
-        when the corrections are not listed, among the ball elements that
-        make the squares with the known neighbours commute."""
+        when the corrections are not listed, the ball elements that make
+        the squares with the known neighbours commute: products of
+        automorphisms and their inverses, so isomorphisms too."""
         sums = (GroupHom(particular.domain, particular.codomain, particular.matrix + d.matrix)
                 for d in corrections or () if not d.is_zero())
         for cand in itertools.chain([particular], sums):
@@ -591,12 +601,12 @@ def _general_search(inv1: SixTermInvariant, inv2: SixTermInvariant,
                 yield cand
         if corrections is None:
             if node not in balls:
-                balls[node] = word_ball(aut_generators(g1[node]), *FALLBACK_BALL)
+                balls[node] = word_ball(g1[node], aut_generators(g1[node]), *FALLBACK_BALL)
             equations = _squares(inv1, inv2, node, known)
             for h in balls[node]:
                 # each square composes h on one side; targets are reduced matrices
                 if all((h @ Q if P is None else P @ h).matrix == target
-                       for P, Q, target in equations) and h.is_isomorphism():
+                       for P, Q, target in equations):
                     yield h
 
     # Five lemma: once beta0, alpha0, beta1 and alpha1 are isomorphisms

@@ -320,6 +320,62 @@ def aut_brute(G) -> list[GroupHom]:
     return out
 
 
+def subgroup_closure_reference(gens, limit, group):
+    """All products of the generators sorted by matrix entries, or None
+    past ``limit`` elements: a breadth-first loop of its own, the
+    reference for ``kclass.autgroups.subgroup_closure``."""
+    if not gens:
+        return [GroupHom.identity(group)]
+    ident = GroupHom.identity(gens[0].domain)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for h in frontier:
+            for g in gens:
+                c = g @ h
+                if c not in seen:
+                    seen.add(c)
+                    if len(seen) > limit:
+                        return None
+                    new.append(c)
+        frontier = new
+    return sorted(seen, key=lambda h: h.matrix.to_lists())
+
+
+def word_ball_reference(gens, radius, limit):
+    """Distinct products of at most ``radius`` generators or inverses,
+    breadth first with ties by matrix entries, cut at ``limit``: the
+    reference for ``kclass.autgroups.word_ball``, except that it gives
+    [] for no generators."""
+    if not gens:
+        return []
+    alphabet = []
+    for g in gens:
+        alphabet.append(g)
+        inv = g.inverse()
+        if inv not in alphabet:
+            alphabet.append(inv)
+    ident = GroupHom.identity(gens[0].domain)
+    seen = {ident}
+    order = [ident]
+    frontier = [ident]
+    for _ in range(radius):
+        new = []
+        for h in frontier:
+            for g in alphabet:
+                c = g @ h
+                if c not in seen:
+                    seen.add(c)
+                    order.append(c)
+                    new.append(c)
+                    if len(order) >= limit:
+                        return order
+        new.sort(key=lambda h: h.matrix.to_lists())
+        frontier = new
+    return order
+
+
 def sifted_order_bound(perms, n: int, target: int, rounds: int = 4000) -> int:
     """A lower bound on the order of the group generated by permutations
     of range(n), raised until it reaches ``target`` or ``rounds`` run out.

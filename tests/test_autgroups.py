@@ -12,7 +12,10 @@ from kclass.autgroups import (
     word_ball,
 )
 from kclass.groups import FgAbelianGroup, GroupHom
-from oracles import aut_brute, elements, sifted_order_bound
+from kclass.matrix import IntMatrix
+from kclass.sixterm import aut_plus_generators, stationary_cone
+from oracles import (aut_brute, elements, sifted_order_bound, subgroup_closure_reference,
+                     word_ball_reference)
 
 
 def closure_of_units(gens, d):
@@ -50,7 +53,7 @@ def test_generators_match_brute_force(torsion):
     brute = set(aut_brute(G))
     gens = aut_generators(G)
     assert all(h in brute for h in gens)
-    closed = subgroup_closure(gens, limit=10 ** 5, group=G)
+    closed = subgroup_closure(G, gens, limit=10 ** 5)
     assert closed is not None
     assert set(closed) == brute
 
@@ -64,9 +67,9 @@ def test_generators_are_automorphisms_on_mixed_groups():
 def test_mixed_group_closure_sizes():
     # Aut(Z + Z/2) = {[[s,0],[c,1]]}: 4 elements; Aut(Z + Z/3): 2*3*2 = 12
     G = FgAbelianGroup(1, (2,))
-    assert len(subgroup_closure(aut_generators(G), limit=1000)) == 4
+    assert len(subgroup_closure(G, aut_generators(G), limit=1000)) == 4
     H = FgAbelianGroup(1, (3,))
-    assert len(subgroup_closure(aut_generators(H), limit=1000)) == 12
+    assert len(subgroup_closure(H, aut_generators(H), limit=1000)) == 12
 
 
 def brute_gl2_mod(m):
@@ -80,7 +83,7 @@ def brute_gl2_mod(m):
 @pytest.mark.parametrize("m", [2, 3])
 def test_free_generators_surject_onto_gl2_mod_m(m):
     G = FgAbelianGroup(2, ())
-    ball = word_ball(aut_generators(G), radius=8, limit=20000)
+    ball = word_ball(G, aut_generators(G), radius=8, limit=20000)
     images = set()
     for h in ball:
         mat = tuple(tuple(x % m for x in row) for row in h.matrix.to_lists())
@@ -91,8 +94,8 @@ def test_free_generators_surject_onto_gl2_mod_m(m):
 def test_word_ball_is_deterministic_and_invertible():
     G = FgAbelianGroup(2, ())
     gens = aut_generators(G)
-    b1 = word_ball(gens, radius=3, limit=5000)
-    b2 = word_ball(gens, radius=3, limit=5000)
+    b1 = word_ball(G, gens, radius=3, limit=5000)
+    b2 = word_ball(G, gens, radius=3, limit=5000)
     assert b1 == b2
     assert b1[0] == GroupHom.identity(G)
     assert len(b1) > 20
@@ -102,7 +105,7 @@ def test_word_ball_is_deterministic_and_invertible():
 
 def test_subgroup_closure_limit_returns_none():
     G = FgAbelianGroup(0, (6, 6))
-    assert subgroup_closure(aut_generators(G), limit=10) is None
+    assert subgroup_closure(G, aut_generators(G), limit=10) is None
 
 
 def test_trivial_group_aut():
@@ -140,10 +143,33 @@ def test_aut_order_against_generated_group(G):
     if G.order() ** G.ngens <= 1024:
         assert len(aut_brute(G)) == order
     if order <= 1536:
-        assert len(subgroup_closure(gens, group=G)) == order
+        assert len(subgroup_closure(G, gens)) == order
     # the generated group acts faithfully on the elements of G
     elems = list(elements(G))
     index = {x: i for i, x in enumerate(elems)}
     tables = [tuple(index[h(x)] for x in elems) for h in gens]
     assert all(sorted(t) == list(range(len(elems))) for t in tables)
     assert sifted_order_bound(tables, len(elems), order) == order
+
+
+def generator_cases():
+    """(group, generators): Aut generators of small groups, two of whose
+    lists are empty, and the stabilizer of a stationary cone on Z^2."""
+    for rank, torsion in [(0, ()), (0, (2,)), (1, ()), (2, ()), (1, (2,)), (0, (2, 4)),
+                          (0, (2, 2, 2))]:
+        G = FgAbelianGroup(rank, torsion)
+        yield pytest.param(G, aut_generators(G), id=str(G))
+    Z2 = FgAbelianGroup(2, ())
+    yield pytest.param(Z2, aut_plus_generators(Z2, stationary_cone(IntMatrix([[2, 1], [1, 1]]))),
+                       id="Z^2 stationary")
+
+
+@pytest.mark.parametrize("G, gens", list(generator_cases()))
+def test_products_keep_the_reference_order(G, gens):
+    # element by element, order included; no generators give the identity
+    for limit in (1, 7, 500):
+        assert subgroup_closure(G, gens, limit) == subgroup_closure_reference(gens, limit, G)
+        for radius in range(5):
+            ball = word_ball(G, gens, radius, limit)
+            assert ball == (word_ball_reference(gens, radius, limit) if gens
+                            else [GroupHom.identity(G)])

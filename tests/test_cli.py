@@ -628,3 +628,33 @@ def test_each_subcommand_loads_only_its_engines(capsys, tmp_path, kind):
     assert loaded == LOADED_BY[kind]
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0 and done.stdout == out
+
+
+def free_line_invariant():
+    """K0B = K0E = Z joined by the identity, every other group trivial:
+    K1A -> K0B is a 1 x 0 map and K0E -> K0A a 0 x 1 map."""
+    groups = {n: {"rank": 0, "torsion": []} for n in ("K0A", "K1A", "K1E", "K1B")}
+    groups["K0B"] = groups["K0E"] = {"rank": 1, "torsion": []}
+    maps = {k: [] for k in ("K0A->K1B", "K1B->K1E", "K1E->K1A", "K0E->K0A")}
+    maps["K0B->K0E"] = [[1]]
+    maps["K1A->K0B"] = [[]]
+    cones = {"K0B": {"tag": "standard_free"}, "K0E": {"tag": "standard_free"},
+             "K0A": {"tag": "unordered"}}
+    return {"groups": groups, "maps": maps, "cones": cones}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("K0E->K0A", None), ("K0E->K0A", 0), ("K0E->K0A", False), ("K0E->K0A", ""),
+    ("K0E->K0A", {}), ("K1A->K0B", [""]),
+])
+def test_a_map_that_is_no_list_of_rows_exits_2(capsys, tmp_path, key, value):
+    # a falsy value is not the zero map, nor an empty string an empty row
+    good = dump(tmp_path / "good.json", free_line_invariant())
+    rc, out, _ = run_cli(capsys, "sixterm", "compare", good, good)
+    assert rc == 0 and json.loads(out)["verdict"] == "isomorphic"
+    data = free_line_invariant()
+    data["maps"][key] = value
+    bad = dump(tmp_path / "bad.json", data)
+    for argv in (["check", bad], ["compare", bad, bad]):
+        rc, out, err = run_cli(capsys, "sixterm", *argv)
+        assert rc == 2 and out == "" and key in err

@@ -452,3 +452,22 @@ def test_cached_factorization_leaves_a_hom_immutable_and_comparable():
     for name in ("matrix", "presentation", "_presentation"):
         with pytest.raises(FrozenInstanceError):
             setattr(f, name, None)
+
+
+def test_presentation_into_a_free_group_copies_no_matrix(monkeypatch):
+    # beyond the Smith form of the hom itself it builds only the
+    # codomain's n x 0 relation matrix, not a copy of [f | R]
+    f = GroupHom(FgAbelianGroup(2), FgAbelianGroup(3), IntMatrix([[1, 2], [3, 4], [5, 6]]))
+    built = []
+    original = IntMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counted)
+    Presentation(f.matrix)
+    direct = len(built)
+    built.clear()
+    f.presentation
+    assert len(built) == direct + 1

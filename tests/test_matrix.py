@@ -183,3 +183,10 @@ def test_constructor_takes_exact_integers_only(entry):
         IntMatrix([[1, 2], [3, entry]])
     with pytest.raises(TypeError):
         IntMatrix([[entry]])
+
+
+def test_hstack_with_no_columns_on_the_right_shares_the_left():
+    M = IntMatrix([[1, 2], [3, 4]])
+    assert IntMatrix.hstack(M, IntMatrix.zeros(M.rows, 0)) is M
+    with pytest.raises(ValueError, match="row counts differ"):
+        IntMatrix.hstack(M, IntMatrix.zeros(3, 0))

@@ -135,6 +135,22 @@ def test_all_trivial_hexagon():
     assert decide_iso_one_ideal(s, s2).status == "isomorphic"
 
 
+def test_stationary_cone_on_the_trivial_group():
+    # every cone on the trivial group is the same cone, so no cone engine runs
+    data = {"groups": {n: {"rank": 0, "torsion": []} for n in NODES},
+            "maps": {k: [] for k in MAP_KEYS},
+            "cones": {"K0B": {"tag": "stationary_dg", "matrix": []},
+                      "K0E": {"tag": "unordered"}, "K0A": {"tag": "unordered"}}}
+    s = SixTermInvariant.from_json(data)
+    v = decide_iso_one_ideal(s, s)
+    assert v.status == "isomorphic"
+    assert v.witness == {name: [] for name in ("beta0", "eta0", "alpha0",
+                                               "beta1", "eta1", "alpha1")}
+    assert verify_witness(s, s, v.witness)
+    # a falsy value is not the zero map
+    assert not verify_witness(s, s, dict(v.witness, alpha0=None))
+
+
 def test_aut_plus_generators_rank_one_free():
     gens = aut_plus_generators(Z, standard_free_cone())
     assert all(g == GroupHom.identity(Z) for g in gens)
@@ -142,7 +158,7 @@ def test_aut_plus_generators_rank_one_free():
 
 def test_aut_plus_generators_finite_unordered():
     gens = aut_plus_generators(Z3, unordered_cone())
-    closure = subgroup_closure(gens, group=Z3)
+    closure = subgroup_closure(Z3, gens)
     mats = sorted(g.matrix[0, 0] for g in closure)
     assert mats == [1, 2]
 
@@ -150,7 +166,7 @@ def test_aut_plus_generators_finite_unordered():
 def test_aut_plus_generators_standard_free_permutations():
     G = FgAbelianGroup(3, ())
     gens = aut_plus_generators(G, standard_free_cone())
-    closure = subgroup_closure(gens, group=G)
+    closure = subgroup_closure(G, gens)
     assert len(closure) == 6  # the permutations of three coordinates
     for g in closure:
         rows = g.matrix.to_lists()
